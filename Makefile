@@ -2,7 +2,8 @@
 #
 #   make build   compile everything
 #   make test    unit tests
-#   make lint    go vet + the project's own analyzers (unroller-vet)
+#   make lint    go vet + the project's own analyzers (unroller-vet) +
+#                the orphan-package check
 #   make vet-json  the analyzer suite with machine-readable findings
 #   make vettool rebuild unroller-vet and run it under `go vet`
 #                (unitchecker mode, incremental + cached)
@@ -24,7 +25,7 @@
 
 GO ?= go
 
-.PHONY: build test lint vet-json vettool race fuzz oracle cluster bench ci
+.PHONY: build test lint orphans vet-json vettool race fuzz oracle cluster bench ci
 
 build:
 	$(GO) build ./...
@@ -32,9 +33,16 @@ build:
 test:
 	$(GO) test ./...
 
-lint:
+lint: orphans
 	$(GO) vet ./...
 	$(GO) run ./cmd/unroller-vet ./...
+
+# orphans fails when a package under internal/ has no importer in the
+# module (test imports count, a package's own tests do not).
+orphans:
+	$(GO) list -f '{{.ImportPath}} {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... | \
+	awk '{ pkg[$$1] = 1; for (i = 2; i <= NF; i++) if ($$i != $$1) used[$$i] = 1 } \
+	END { for (p in pkg) if (p ~ /\/internal\// && !(p in used)) { print "orphan package, nothing imports it: " p; bad = 1 }; exit bad }'
 
 vet-json:
 	$(GO) run ./cmd/unroller-vet -json ./...

@@ -12,6 +12,10 @@
 #                 -json mode checked against the stable empty shape, and
 #                 as a `go vet -vettool=` unitchecker so the fact
 #                 transport through .vetx files stays honest
+#   orphans       every package under internal/ must be imported by some
+#                 other package in the module (test imports count, a
+#                 package's own tests do not): a package nothing uses
+#                 is deleted, not carried
 #   race tests    go test -race ./...  (includes the concurrency
 #                 regression tests in internal/core and
 #                 internal/dataplane, and the churn/scenario suite —
@@ -87,6 +91,15 @@ vettool_dir="$(mktemp -d)"
 trap 'rm -rf "$vettool_dir"' EXIT
 go build -o "$vettool_dir/unroller-vet" ./cmd/unroller-vet
 go vet -vettool="$vettool_dir/unroller-vet" ./...
+
+echo "==> orphan packages (every internal/ package has an importer)"
+imports="$(go list -f '{{.ImportPath}} {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./...)"
+printf '%s\n' "$imports" | awk '
+	{ pkg[$1] = 1; for (i = 2; i <= NF; i++) if ($i != $1) used[$i] = 1 }
+	END {
+		for (p in pkg) if (p ~ /\/internal\// && !(p in used)) { print "orphan package, nothing imports it: " p; bad = 1 }
+		exit bad
+	}'
 
 echo "==> go test -race ./..."
 go test -race ./...

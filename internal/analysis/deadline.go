@@ -18,7 +18,7 @@ import (
 // whose type satisfies net.Conn (Read/Write), and — because the
 // collector always wraps its conns — operations on bufio readers and
 // writers constructed from a conn, including passing such a
-// reader/writer to a helper (ReadFrame(br, ...) is a conn read). Arming
+// reader/writer to a helper (ReadFrameBuffered(br) is a conn read). Arming
 // is tracked as a per-scope must-dominate dataflow: branches merge with
 // AND, loop bodies must arm before the I/O within the same iteration,
 // and each function literal starts un-armed (a closure cannot rely on
@@ -340,7 +340,7 @@ func (w *deadlineWalker) scanCall(e ast.Expr, st *armState) {
 		}
 	}
 	// A conn-backed reader/writer handed to a helper is that helper doing
-	// the I/O on our behalf (ReadFrame(br, ...), writeAck(bw, ...)).
+	// the I/O on our behalf (ReadFrameBuffered(br), writeAck(bw, ...)).
 	for _, arg := range call.Args {
 		id, ok := ast.Unparen(arg).(*ast.Ident)
 		if !ok {

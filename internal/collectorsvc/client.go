@@ -108,16 +108,6 @@ type ClientStats struct {
 	DialFailures uint64 `json:"dial_failures"`
 }
 
-// clientItem is one queued frame-to-be: a report or a tick. seq is
-// assigned when the item first reaches the wire and kept across
-// retransmissions.
-type clientItem struct {
-	ev   dataplane.LoopEvent
-	hop  int
-	tick bool
-	seq  uint64
-}
-
 // Client is a reconnecting, batching sender of loop reports. Send never
 // blocks on the network; a background goroutine owns the connection
 // lifecycle. Safe for concurrent use.
@@ -126,8 +116,8 @@ type Client struct {
 
 	mu          sync.Mutex
 	cond        *sync.Cond
-	unsent      []clientItem // bounded ring semantics via head index
-	inflight    []clientItem // sent, awaiting ack; FIFO by seq
+	unsent      []Frame // reports and ticks; Seq assigned on first send
+	inflight    []Frame // sent, awaiting ack; FIFO by Seq
 	nextSeq     uint64
 	stats       ClientStats
 	rng         *xrand.Rand
@@ -207,16 +197,16 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 // hop count — the dedup context). Never blocks on the network: a full
 // buffer drops the oldest unsent event, counted.
 func (c *Client) Send(ev dataplane.LoopEvent, hop int) {
-	c.enqueue(clientItem{ev: ev, hop: hop})
+	c.enqueue(Frame{Type: FrameReport, Event: ev, Hop: hop})
 }
 
 // Tick enqueues an epoch-boundary tick, ordered with the reports around
 // it. Meaningful only when this client is the collector's single feeder.
 func (c *Client) Tick() {
-	c.enqueue(clientItem{tick: true})
+	c.enqueue(Frame{Type: FrameTick})
 }
 
-func (c *Client) enqueue(it clientItem) {
+func (c *Client) enqueue(f Frame) {
 	c.mu.Lock()
 	if c.closing || c.aborted {
 		// Late events after Close are dropped and counted, preserving
@@ -231,7 +221,7 @@ func (c *Client) enqueue(it clientItem) {
 		c.unsent = c.unsent[1:]
 		c.stats.Dropped++
 	}
-	c.unsent = append(c.unsent, it)
+	c.unsent = append(c.unsent, f)
 	c.mu.Unlock()
 	c.cond.Signal()
 }
@@ -421,15 +411,13 @@ func (c *Client) stream(conn net.Conn) {
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
-		br := bufio.NewReaderSize(conn, 1<<10)
-		var scratch []byte
+		br := bufio.NewReaderSize(conn, frameReaderSize)
 		for {
 			conn.SetReadDeadline(time.Now().Add(c.cfg.StaleTimeout))
-			f, sc, err := ReadFrame(br, scratch)
+			f, err := ReadFrameBuffered(br)
 			if err != nil {
 				break
 			}
-			scratch = sc
 			if f.Type == FrameAck {
 				c.ack(f.Seq)
 			}
@@ -471,13 +459,13 @@ func (c *Client) stream(conn net.Conn) {
 	// encoded into one buffer and written in one deadline-armed call —
 	// the same coalescing the batch loop below uses.
 	c.mu.Lock()
-	resend := append([]clientItem(nil), c.inflight...)
+	resend := append([]Frame(nil), c.inflight...)
 	c.stats.Retransmits += uint64(len(resend))
 	c.mu.Unlock()
 	var err error
 	buf = buf[:0]
-	for _, it := range resend {
-		if buf, err = appendItem(buf, it); err != nil {
+	for i := range resend {
+		if buf, err = appendFrame(buf, &resend[i]); err != nil {
 			return
 		}
 	}
@@ -491,7 +479,7 @@ func (c *Client) stream(conn net.Conn) {
 	}
 	hbTimer.Reset(c.cfg.HeartbeatEvery)
 
-	batch := make([]clientItem, 0, c.cfg.Batch)
+	batch := make([]Frame, 0, c.cfg.Batch)
 	for {
 		batch = batch[:0]
 		heartbeat := false
@@ -539,12 +527,12 @@ func (c *Client) stream(conn net.Conn) {
 		}
 		if !heartbeat {
 			for len(c.unsent) > 0 && len(batch) < c.cfg.Batch && len(c.inflight) < c.cfg.Window {
-				it := c.unsent[0]
+				f := c.unsent[0]
 				c.unsent = c.unsent[1:]
 				c.nextSeq++
-				it.seq = c.nextSeq
-				c.inflight = append(c.inflight, it)
-				batch = append(batch, it)
+				f.Seq = c.nextSeq
+				c.inflight = append(c.inflight, f)
+				batch = append(batch, f)
 			}
 		}
 		seq := c.nextSeq
@@ -566,8 +554,8 @@ func (c *Client) stream(conn net.Conn) {
 		// deadline arm: the connection's write-path syscalls and deadline
 		// churn scale with batches, not frames.
 		buf = buf[:0]
-		for _, it := range batch {
-			if buf, err = appendItem(buf, it); err != nil {
+		for i := range batch {
+			if buf, err = appendFrame(buf, &batch[i]); err != nil {
 				return
 			}
 		}
@@ -583,19 +571,19 @@ func (c *Client) stream(conn net.Conn) {
 	}
 }
 
-// appendItem encodes one queued item as its wire frame.
-func appendItem(dst []byte, it clientItem) ([]byte, error) {
-	if it.tick {
-		return AppendTick(dst, it.seq), nil
+// appendFrame encodes one queued report or tick as its wire frame.
+func appendFrame(dst []byte, f *Frame) ([]byte, error) {
+	if f.Type == FrameTick {
+		return AppendTick(dst, f.Seq), nil
 	}
-	return AppendReport(dst, it.seq, it.ev, it.hop)
+	return AppendReport(dst, f.Seq, f.Event, f.Hop)
 }
 
 // ack releases the in-flight prefix up to seq.
 func (c *Client) ack(seq uint64) {
 	c.mu.Lock()
 	n := 0
-	for n < len(c.inflight) && c.inflight[n].seq <= seq {
+	for n < len(c.inflight) && c.inflight[n].Seq <= seq {
 		n++
 	}
 	if n > 0 {

@@ -10,11 +10,16 @@ package collectorsvc
 //
 // big-endian, CRC-32 (IEEE) over the payload bytes. Payloads are typed:
 //
-//	jrecReport   [type u8][client u64][seq u64][hop u32][flow u32]
-//	             [reporter u32][hops u32][node u32][count u16][members u32×n]
-//	jrecTick     [type u8][client u64][seq u64]
-//	jrecSnapshot [type u8][ver u8][server counters][controller baseline]
-//	             [client seq table][per-flow dedup windows]
+//	report    [FrameReport u8][client u64][report frame body]
+//	tick      [FrameTick u8][client u64][tick frame body]
+//	snapshot  [jrecSnapshot u8][ver u8][server counters][controller baseline]
+//	          [client seq table][per-flow dedup windows]
+//
+// The journal logs the frames the server acknowledges: a report or tick
+// record is the frame's type byte, the sending client's id, and the
+// frame body exactly as it crossed the wire (wire.go), written by the
+// same encoder and checked on replay by the same decoder. A report
+// record is 39+4·members bytes, a tick 17.
 //
 // Every segment *starts* with a snapshot record, so any suffix of the
 // segment list is self-contained: replay applies the oldest retained
@@ -49,6 +54,9 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"github.com/unroller/unroller/internal/dataplane"
+	"github.com/unroller/unroller/internal/detect"
 )
 
 // FsyncPolicy selects when the journal calls File.Sync.
@@ -123,21 +131,22 @@ const (
 	DefaultFsyncEvery   = 100 * time.Millisecond
 )
 
-// Journal record types.
-const (
-	jrecSnapshot = 1
-	jrecReport   = 2
-	jrecTick     = 3
-)
+// jrecSnapshot types a snapshot record. Report and tick records are
+// typed by their frame type (FrameReport, FrameTick).
+const jrecSnapshot = 1
 
 // journalRecHeader is [len u32][crc u32].
 const journalRecHeader = 8
 
-// snapshotVersion versions the snapshot payload layout. v2 widened the
-// client table from a single high-water mark per client to the full
-// accounted span list (plus the CrossDupes baseline) — the state the
-// cluster recovery handoff serves to rejoining peers.
-const snapshotVersion = 2
+// snapshotVersion versions the snapshot payload layout, and with it the
+// journal as a whole: every segment opens with a snapshot, so a segment
+// from another version is refused at its head. v2 widened the client
+// table from a single high-water mark per client to the full accounted
+// span list (plus the CrossDupes baseline) — the state the cluster
+// recovery handoff serves to rejoining peers. v3 moved report records
+// to the wire body layout; a v2 report record has the same length but
+// another field order, so only the version tells the two apart.
+const snapshotVersion = 3
 
 // ErrJournalCorrupt marks a tear or CRC failure outside the final
 // segment's tail — corruption at rest, which recovery refuses to paper
@@ -356,21 +365,14 @@ func (j *Journal) appendLocked(payload []byte) {
 	j.dirty = true
 }
 
-// appendReportLocked encodes and appends one report record through the
-// journal's reusable scratch buffer — the batch-append API: the
-// server's ingest loop calls it once per new frame while holding mu
+// appendFrameLocked encodes and appends one report or tick record
+// through the journal's reusable scratch buffer — the batch-append API:
+// the server's ingest loop calls it once per new frame while holding mu
 // across the whole batch, so a batch costs zero encode allocations and
 // one Commit (one flush, and under FsyncAlways one fsync) covers every
 // record in it.
-func (j *Journal) appendReportLocked(clientID, seq uint64, ev LoopEventRecord, hop int) {
-	j.scratch = appendJournalReport(j.scratch[:0], clientID, seq, ev, hop)
-	j.appendLocked(j.scratch)
-}
-
-// appendTickLocked encodes and appends one tick record through the
-// shared scratch; see appendReportLocked.
-func (j *Journal) appendTickLocked(clientID, seq uint64) {
-	j.scratch = appendJournalTick(j.scratch[:0], clientID, seq)
+func (j *Journal) appendFrameLocked(clientID uint64, f *Frame) {
+	j.scratch = appendFrameRecord(j.scratch[:0], clientID, f)
 	j.appendLocked(j.scratch)
 }
 
@@ -475,24 +477,12 @@ func (j *Journal) syncLoop() {
 	}
 }
 
-// journalRecord is one replayed record, decoded.
+// journalRecord is one replayed record, decoded: a snapshot (snap
+// non-nil), or a report or tick frame and the client that sent it.
 type journalRecord struct {
-	kind     uint8
-	clientID uint64
-	seq      uint64
-	hop      int
-	ev       LoopEventRecord
 	snap     *journalSnapshot
-}
-
-// LoopEventRecord mirrors dataplane.LoopEvent's journaled fields.
-// (Defined locally so the journal codec is self-contained for fuzzing.)
-type LoopEventRecord struct {
-	Flow     uint32
-	Reporter uint32
-	Hops     int
-	Node     int
-	Members  []uint32
+	clientID uint64
+	frame    Frame
 }
 
 // Replay iterates every retained segment in order, decoding each record
@@ -522,7 +512,7 @@ func (j *Journal) Replay(apply func(rec *journalRecord) error) error {
 			}
 			j.mu.Lock()
 			j.replayedRecs++
-			if rec.kind == jrecSnapshot {
+			if rec.snap != nil {
 				j.replayedSnap++
 			}
 			j.mu.Unlock()
@@ -600,29 +590,15 @@ func (j *Journal) Stats() JournalStats {
 
 // --- record payload codecs ---
 
-// appendJournalReport encodes a report record payload.
-func appendJournalReport(dst []byte, clientID, seq uint64, ev LoopEventRecord, hop int) []byte {
-	dst = append(dst, jrecReport)
+// appendFrameRecord encodes a report or tick record payload: the frame
+// type, the client id, and the frame body as the wire carries it.
+func appendFrameRecord(dst []byte, clientID uint64, f *Frame) []byte {
+	dst = append(dst, f.Type)
 	dst = binary.BigEndian.AppendUint64(dst, clientID)
-	dst = binary.BigEndian.AppendUint64(dst, seq)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(hop))
-	dst = binary.BigEndian.AppendUint32(dst, ev.Flow)
-	dst = binary.BigEndian.AppendUint32(dst, ev.Reporter)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(ev.Hops))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(ev.Node))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(ev.Members)))
-	for _, m := range ev.Members {
-		dst = binary.BigEndian.AppendUint32(dst, m)
+	if f.Type == FrameReport {
+		return appendReportBody(dst, f.Seq, f.Event, f.Hop)
 	}
-	return dst
-}
-
-// appendJournalTick encodes a tick record payload.
-func appendJournalTick(dst []byte, clientID, seq uint64) []byte {
-	dst = append(dst, jrecTick)
-	dst = binary.BigEndian.AppendUint64(dst, clientID)
-	dst = binary.BigEndian.AppendUint64(dst, seq)
-	return dst
+	return binary.BigEndian.AppendUint64(dst, f.Seq)
 }
 
 // journalSnapshot is the decoded snapshot payload: the consistent cut a
@@ -656,12 +632,7 @@ type clientSeqEntry struct {
 
 type flowWindowEntry struct {
 	Flow    uint32
-	Entries []windowEntry
-}
-
-type windowEntry struct {
-	Reporter uint32
-	Hop      uint32
+	Entries []dataplane.DedupEntry
 }
 
 // emptySnapshot is the genesis state.
@@ -693,8 +664,8 @@ func encodeSnapshot(dst []byte, s *journalSnapshot) []byte {
 		dst = binary.BigEndian.AppendUint32(dst, f.Flow)
 		dst = append(dst, byte(len(f.Entries)))
 		for _, e := range f.Entries {
-			dst = binary.BigEndian.AppendUint32(dst, e.Reporter)
-			dst = binary.BigEndian.AppendUint32(dst, e.Hop)
+			dst = binary.BigEndian.AppendUint32(dst, uint32(e.Reporter))
+			dst = binary.BigEndian.AppendUint32(dst, uint32(e.Hop))
 		}
 	}
 	return dst
@@ -708,40 +679,18 @@ func decodeJournalPayload(p []byte) (*journalRecord, error) {
 	if len(p) < 1 {
 		return nil, fmt.Errorf("%w: empty payload", errBadJournalRecord)
 	}
-	rec := &journalRecord{kind: p[0]}
+	rec := &journalRecord{}
 	body := p[1:]
-	switch rec.kind {
-	case jrecReport:
-		const fixed = 8 + 8 + 4 + 4 + 4 + 4 + 4 + 2
-		if len(body) < fixed {
-			return nil, fmt.Errorf("%w: report record of %d bytes, want at least %d", errBadJournalRecord, len(body), fixed)
+	switch p[0] {
+	case FrameReport, FrameTick:
+		if len(body) < 8 {
+			return nil, fmt.Errorf("%w: type-%d record of %d bytes has no client id", errBadJournalRecord, p[0], len(body))
 		}
 		rec.clientID = binary.BigEndian.Uint64(body)
-		rec.seq = binary.BigEndian.Uint64(body[8:])
-		rec.hop = int(binary.BigEndian.Uint32(body[16:]))
-		rec.ev.Flow = binary.BigEndian.Uint32(body[20:])
-		rec.ev.Reporter = binary.BigEndian.Uint32(body[24:])
-		rec.ev.Hops = int(binary.BigEndian.Uint32(body[28:]))
-		rec.ev.Node = int(binary.BigEndian.Uint32(body[32:]))
-		count := int(binary.BigEndian.Uint16(body[36:]))
-		if count > MaxMembers {
-			return nil, fmt.Errorf("%w: %d members exceeds cap %d", errBadJournalRecord, count, MaxMembers)
+		rec.frame.Type = p[0]
+		if err := decodeFrameBody(&rec.frame, body[8:]); err != nil {
+			return nil, fmt.Errorf("%w: %w", errBadJournalRecord, err)
 		}
-		if len(body) != fixed+4*count {
-			return nil, fmt.Errorf("%w: report record of %d bytes for %d members", errBadJournalRecord, len(body), count)
-		}
-		if count > 0 {
-			rec.ev.Members = make([]uint32, count)
-			for i := range rec.ev.Members {
-				rec.ev.Members[i] = binary.BigEndian.Uint32(body[fixed+4*i:])
-			}
-		}
-	case jrecTick:
-		if len(body) != 16 {
-			return nil, fmt.Errorf("%w: tick record of %d bytes, want 16", errBadJournalRecord, len(body))
-		}
-		rec.clientID = binary.BigEndian.Uint64(body)
-		rec.seq = binary.BigEndian.Uint64(body[8:])
 	case jrecSnapshot:
 		snap, err := decodeSnapshot(body)
 		if err != nil {
@@ -749,7 +698,7 @@ func decodeJournalPayload(p []byte) (*journalRecord, error) {
 		}
 		rec.snap = snap
 	default:
-		return nil, fmt.Errorf("%w: unknown record type %d", errBadJournalRecord, rec.kind)
+		return nil, fmt.Errorf("%w: unknown record type %d", errBadJournalRecord, p[0])
 	}
 	return rec, nil
 }
@@ -818,10 +767,10 @@ func decodeSnapshot(body []byte) (*journalSnapshot, error) {
 				return nil, fmt.Errorf("%w: snapshot window overruns payload", errBadJournalRecord)
 			}
 			if n > 0 {
-				fe.Entries = make([]windowEntry, n)
+				fe.Entries = make([]dataplane.DedupEntry, n)
 				for k := range fe.Entries {
-					fe.Entries[k].Reporter = binary.BigEndian.Uint32(body[8*k:])
-					fe.Entries[k].Hop = binary.BigEndian.Uint32(body[8*k+4:])
+					fe.Entries[k].Reporter = detect.SwitchID(binary.BigEndian.Uint32(body[8*k:]))
+					fe.Entries[k].Hop = int(binary.BigEndian.Uint32(body[8*k+4:]))
 				}
 			}
 			body = body[n*8:]

@@ -5,8 +5,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
+
+	"github.com/unroller/unroller/internal/dataplane"
+	"github.com/unroller/unroller/internal/detect"
 )
 
 // openTestJournal opens a journal in a fresh temp dir with small
@@ -24,14 +28,28 @@ func openTestJournal(t *testing.T, cfg JournalConfig) *Journal {
 	return j
 }
 
-// appendReport appends one report record and commits it, the way the
+// testReport is a report frame with a three-member loop.
+func testReport(seq uint64, flow uint32, hop int) *Frame {
+	return &Frame{Type: FrameReport, Seq: seq, Hop: hop, Event: dataplane.LoopEvent{
+		Report:  detect.Report{Reporter: detect.SwitchID(flow + 1), Hops: 3},
+		Node:    7,
+		Flow:    flow,
+		Members: []detect.SwitchID{1, 2, 3},
+	}}
+}
+
+// commitFrame appends one frame record and commits it, the way the
 // server's ingest path does.
-func appendReport(j *Journal, clientID, seq uint64, flow uint32, hop int) {
-	ev := LoopEventRecord{Flow: flow, Reporter: flow + 1, Hops: 3, Node: 7, Members: []uint32{1, 2, 3}}
+func commitFrame(j *Journal, clientID uint64, f *Frame) {
 	j.mu.Lock()
-	j.appendLocked(appendJournalReport(nil, clientID, seq, ev, hop))
+	j.appendFrameLocked(clientID, f)
 	j.commitLocked()
 	j.mu.Unlock()
+}
+
+// appendReport journals testReport(seq, flow, hop) for clientID.
+func appendReport(j *Journal, clientID, seq uint64, flow uint32, hop int) {
+	commitFrame(j, clientID, testReport(seq, flow, hop))
 }
 
 // replayAll collects every replayed record.
@@ -54,10 +72,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	j := openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncNever})
 	appendReport(j, 10, 1, 0xAABB, 4)
 	appendReport(j, 10, 2, 0xAABC, 5)
-	j.mu.Lock()
-	j.appendLocked(appendJournalTick(nil, 10, 3))
-	j.commitLocked()
-	j.mu.Unlock()
+	commitFrame(j, 10, &Frame{Type: FrameTick, Seq: 3})
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,18 +82,21 @@ func TestJournalRoundTrip(t *testing.T) {
 	if len(recs) != 4 {
 		t.Fatalf("replayed %d records, want 4 (snapshot + 2 reports + tick)", len(recs))
 	}
-	if recs[0].kind != jrecSnapshot || recs[0].snap == nil {
-		t.Fatalf("first record is kind %d, want genesis snapshot", recs[0].kind)
+	if recs[0].snap == nil {
+		t.Fatalf("first record is %+v, want genesis snapshot", recs[0])
 	}
-	r := recs[1]
-	if r.kind != jrecReport || r.clientID != 10 || r.seq != 1 || r.ev.Flow != 0xAABB || r.hop != 4 {
+	// Segment sizes, and so rotation points, depend on the record sizes.
+	if n := len(appendFrameRecord(nil, 10, testReport(1, 0xAABB, 4))); n != 39+4*3 {
+		t.Errorf("report record of %d bytes, want 39+4·members = %d", n, 39+4*3)
+	}
+	if n := len(appendFrameRecord(nil, 10, &Frame{Type: FrameTick, Seq: 3})); n != 17 {
+		t.Errorf("tick record of %d bytes, want 17", n)
+	}
+	if r := recs[1]; r.snap != nil || r.clientID != 10 || !reflect.DeepEqual(r.frame, *testReport(1, 0xAABB, 4)) {
 		t.Errorf("report 1 decoded as %+v", r)
 	}
-	if len(r.ev.Members) != 3 || r.ev.Members[2] != 3 {
-		t.Errorf("report members decoded as %v", r.ev.Members)
-	}
-	if recs[3].kind != jrecTick || recs[3].seq != 3 {
-		t.Errorf("tick decoded as %+v", recs[3])
+	if r := recs[3]; r.snap != nil || r.clientID != 10 || !reflect.DeepEqual(r.frame, Frame{Type: FrameTick, Seq: 3}) {
+		t.Errorf("tick decoded as %+v", r)
 	}
 	if st := j2.Stats(); st.RecoveredRecords != 4 || st.RecoveredSnapshots != 1 {
 		t.Errorf("stats after replay: %+v", st)
@@ -123,7 +141,7 @@ func TestJournalRotationAndRetention(t *testing.T) {
 	// at its head snapshot, which carries the pre-truncation baseline.
 	j2 := openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncNever})
 	recs := replayAll(t, j2)
-	if len(recs) == 0 || recs[0].kind != jrecSnapshot {
+	if len(recs) == 0 || recs[0].snap == nil {
 		t.Fatal("replay of retained suffix does not start with a snapshot")
 	}
 	if recs[0].snap.Ingested == 0 {
@@ -133,8 +151,8 @@ func TestJournalRotationAndRetention(t *testing.T) {
 	// accounts for.
 	var first uint64
 	for _, r := range recs[1:] {
-		if r.kind == jrecReport {
-			first = r.seq
+		if r.frame.Type == FrameReport {
+			first = r.frame.Seq
 			break
 		}
 	}
@@ -156,7 +174,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	}
 	// Simulate the torn write: append half a record to the segment.
 	path := filepath.Join(dir, segName(1))
-	torn := appendJournalRecord(nil, appendJournalTick(nil, 7, 3))
+	torn := appendJournalRecord(nil, appendFrameRecord(nil, 7, &Frame{Type: FrameTick, Seq: 3}))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +199,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	}
 	j3 := openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncNever})
 	recs = replayAll(t, j3)
-	if len(recs) != 4 || recs[3].seq != 3 {
+	if len(recs) != 4 || recs[3].frame.Seq != 3 {
 		t.Fatalf("append after truncation not replayable: %d records", len(recs))
 	}
 }
@@ -246,7 +264,7 @@ func TestJournalSnapshotRoundTrip(t *testing.T) {
 			{ID: 9, Spans: []SeqSpan{{First: 1, Last: 40}}},
 		},
 		Flows: []flowWindowEntry{
-			{Flow: 0xDEAD, Entries: []windowEntry{{Reporter: 4, Hop: 2}, {Reporter: 5, Hop: 3}}},
+			{Flow: 0xDEAD, Entries: []dataplane.DedupEntry{{Reporter: 4, Hop: 2}, {Reporter: 5, Hop: 3}}},
 			{Flow: 0xBEEF},
 		},
 	}
@@ -272,6 +290,27 @@ func TestJournalSnapshotRoundTrip(t *testing.T) {
 	}
 	if len(got.Flows) != 2 || len(got.Flows[0].Entries) != 2 || got.Flows[0].Entries[1].Hop != 3 {
 		t.Errorf("flow windows decoded as %+v", got.Flows)
+	}
+}
+
+// TestJournalRefusesV2Segment: a segment from the v2 format, whose
+// report records have the v3 length but another field order, fails
+// replay at its head snapshot instead of loading misread records.
+func TestJournalRefusesV2Segment(t *testing.T) {
+	dir := t.TempDir()
+	head := encodeSnapshot(nil, emptySnapshot())
+	head[1] = 2 // snapshot version: v2 and v3 snapshots differ only here
+	seg := appendJournalRecord(nil, head)
+	seg = appendJournalRecord(seg, appendFrameRecord(nil, 1, testReport(1, 9, 2)))
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j := openTestJournal(t, JournalConfig{Dir: dir, Fsync: FsyncNever})
+	if _, _, err := NewRecoveredServer(ServerConfig{Shards: 1, Journal: j}); !errors.Is(err, errBadJournalRecord) {
+		t.Fatalf("recovery from a v2 segment returned %v, want errBadJournalRecord", err)
+	}
+	if st := j.Stats(); st.RecoveredRecords != 0 {
+		t.Errorf("replay applied %d records of a v2 segment", st.RecoveredRecords)
 	}
 }
 
@@ -328,8 +367,8 @@ func TestParseFsyncPolicy(t *testing.T) {
 // (torn-tail tolerance).
 func FuzzJournalSegment(f *testing.F) {
 	f.Add(appendJournalRecord(nil, encodeSnapshot(nil, emptySnapshot())))
-	f.Add(appendJournalRecord(nil, appendJournalTick(nil, 1, 2)))
-	rep := appendJournalRecord(nil, appendJournalReport(nil, 3, 4, LoopEventRecord{Flow: 5, Reporter: 6, Hops: 2, Node: 1, Members: []uint32{8, 9}}, 1))
+	f.Add(appendJournalRecord(nil, appendFrameRecord(nil, 1, &Frame{Type: FrameTick, Seq: 2})))
+	rep := appendJournalRecord(nil, appendFrameRecord(nil, 3, testReport(4, 5, 1)))
 	f.Add(rep)
 	f.Add(append(append([]byte(nil), rep...), rep[:7]...)) // torn tail
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
@@ -347,16 +386,13 @@ func FuzzJournalSegment(f *testing.F) {
 				continue // CRC-valid but semantically malformed is a decode error, not a panic
 			}
 			var round []byte
-			switch rec.kind {
-			case jrecReport:
-				round = appendJournalReport(nil, rec.clientID, rec.seq, rec.ev, rec.hop)
-			case jrecTick:
-				round = appendJournalTick(nil, rec.clientID, rec.seq)
-			case jrecSnapshot:
+			if rec.snap != nil {
 				round = encodeSnapshot(nil, rec.snap)
+			} else {
+				round = appendFrameRecord(nil, rec.clientID, &rec.frame)
 			}
 			if !bytes.Equal(round, p) {
-				t.Fatalf("decode/re-encode not a fixed point for kind %d", rec.kind)
+				t.Fatalf("decode/re-encode not a fixed point for record type %d", p[0])
 			}
 		}
 		// Torn-tail property: any truncation yields a prefix of the
@@ -383,19 +419,23 @@ func BenchmarkJournalAppend(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer j.Close()
-	ev := LoopEventRecord{Flow: 7, Reporter: 3, Hops: 12, Node: 2, Members: []uint32{1, 2, 3, 4}}
-	var buf []byte
+	f := &Frame{Type: FrameReport, Hop: 12, Event: dataplane.LoopEvent{
+		Report:  detect.Report{Reporter: 3, Hops: 12},
+		Node:    2,
+		Flow:    7,
+		Members: []detect.SwitchID{1, 2, 3, 4},
+	}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = appendJournalReport(buf[:0], 1, uint64(i)+1, ev, 12)
+		f.Seq = uint64(i) + 1
 		j.mu.Lock()
-		j.appendLocked(buf)
+		j.appendFrameLocked(1, f)
 		j.commitLocked()
 		j.mu.Unlock()
 	}
 	b.StopTimer()
-	b.SetBytes(int64(len(buf)) + journalRecHeader)
+	b.SetBytes(int64(len(j.scratch)) + journalRecHeader)
 	if j.Failed() {
 		b.Fatalf("journal failed during benchmark: %+v", j.Stats())
 	}

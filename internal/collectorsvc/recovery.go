@@ -16,41 +16,7 @@ import (
 	"sort"
 
 	"github.com/unroller/unroller/internal/dataplane"
-	"github.com/unroller/unroller/internal/detect"
 )
-
-// eventToRecord converts a live event to its journal representation.
-func eventToRecord(ev dataplane.LoopEvent) LoopEventRecord {
-	rec := LoopEventRecord{
-		Flow:     ev.Flow,
-		Reporter: uint32(ev.Reporter),
-		Hops:     ev.Hops,
-		Node:     ev.Node,
-	}
-	if len(ev.Members) > 0 {
-		rec.Members = make([]uint32, len(ev.Members))
-		for i, m := range ev.Members {
-			rec.Members[i] = uint32(m)
-		}
-	}
-	return rec
-}
-
-// recordToEvent is the inverse of eventToRecord.
-func recordToEvent(rec LoopEventRecord) dataplane.LoopEvent {
-	var ev dataplane.LoopEvent
-	ev.Flow = rec.Flow
-	ev.Reporter = detect.SwitchID(rec.Reporter)
-	ev.Hops = rec.Hops
-	ev.Node = rec.Node
-	if len(rec.Members) > 0 {
-		ev.Members = make([]detect.SwitchID, len(rec.Members))
-		for i, m := range rec.Members {
-			ev.Members[i] = detect.SwitchID(m)
-		}
-	}
-	return ev
-}
 
 // rotateWithSnapshotLocked rotates the journal segment with a
 // consistent snapshot at the new segment's head. Called from the ingest
@@ -127,29 +93,11 @@ func (s *Server) captureSnapshotLocked() *journalSnapshot {
 
 	for _, sh := range s.shards {
 		for flow, w := range sh.flows {
-			entries := w.Entries()
-			fe := flowWindowEntry{Flow: flow}
-			if len(entries) > 0 {
-				fe.Entries = make([]windowEntry, len(entries))
-				for i, e := range entries {
-					fe.Entries[i] = windowEntry{Reporter: uint32(e.Reporter), Hop: uint32(e.Hop)}
-				}
-			}
-			snap.Flows = append(snap.Flows, fe)
+			snap.Flows = append(snap.Flows, flowWindowEntry{Flow: flow, Entries: w.Entries()})
 		}
 	}
 	sort.Slice(snap.Flows, func(a, b int) bool { return snap.Flows[a].Flow < snap.Flows[b].Flow })
 	return snap
-}
-
-// stagedRecord is one post-snapshot journal record parked between
-// replay and commit.
-type stagedRecord struct {
-	clientID uint64
-	seq      uint64
-	ev       dataplane.LoopEvent
-	hop      int
-	tick     bool
 }
 
 // StagedRecovery is a journal replay paused at the reconciliation
@@ -167,7 +115,7 @@ type stagedRecord struct {
 // sizing rule this implies).
 type StagedRecovery struct {
 	srv    *Server
-	staged []stagedRecord
+	staged []journalRecord // report and tick records, in journal order
 }
 
 // NewStagedRecoveredServer builds a server, applies the journal's
@@ -181,18 +129,12 @@ func NewStagedRecoveredServer(cfg ServerConfig) (*StagedRecovery, error) {
 	s.recovering = true
 	st := &StagedRecovery{srv: s}
 	err := cfg.Journal.Replay(func(rec *journalRecord) error {
-		switch rec.kind {
-		case jrecSnapshot:
+		if rec.snap != nil {
 			s.applySnapshot(rec.snap)
 			// The snapshot's cut supersedes everything staged before it.
 			st.staged = st.staged[:0]
-		case jrecReport:
-			st.staged = append(st.staged, stagedRecord{
-				clientID: rec.clientID, seq: rec.seq,
-				ev: recordToEvent(rec.ev), hop: rec.hop,
-			})
-		case jrecTick:
-			st.staged = append(st.staged, stagedRecord{clientID: rec.clientID, seq: rec.seq, tick: true})
+		} else {
+			st.staged = append(st.staged, *rec)
 		}
 		return nil
 	})
@@ -227,18 +169,19 @@ func (st *StagedRecovery) Commit(discard func(clientID, seq uint64) bool) (*Serv
 	s := st.srv
 	for i := range st.staged {
 		rec := &st.staged[i]
-		if discard != nil && discard(rec.clientID, rec.seq) {
+		f := &rec.frame
+		if discard != nil && discard(rec.clientID, f.Seq) {
 			s.crossDupes.Add(1)
 			continue
 		}
 		cs := s.clientState(rec.clientID)
-		if !cs.account(rec.seq) {
+		if !cs.account(f.Seq) {
 			// Records are only appended for newly accounted frames, so a
 			// replayed duplicate means the journal and the snapshot
 			// disagree — refuse rather than double-count.
-			return nil, RecoveryStats{}, fmt.Errorf("%w: replayed seq %d for client %d at or below high-water mark", ErrJournalCorrupt, rec.seq, rec.clientID)
+			return nil, RecoveryStats{}, fmt.Errorf("%w: replayed seq %d for client %d at or below high-water mark", ErrJournalCorrupt, f.Seq, rec.clientID)
 		}
-		if rec.tick {
+		if f.Type == FrameTick {
 			s.ticks.Add(1)
 			for _, sh := range s.shards {
 				sh.ctrl.Tick()
@@ -246,7 +189,7 @@ func (st *StagedRecovery) Commit(discard func(clientID, seq uint64) bool) (*Serv
 			continue
 		}
 		s.ingested.Add(1)
-		s.shardFor(rec.ev.Flow).deliver(rec.ev, rec.hop)
+		s.shardFor(f.Event.Flow).deliver(f.Event, f.Hop)
 	}
 	st.staged = nil
 	jst := s.journal.Stats()
@@ -342,12 +285,8 @@ func (s *Server) applySnapshot(snap *journalSnapshot) {
 		sh.evictions.Store(0)
 	}
 	for _, fe := range snap.Flows {
-		entries := make([]dataplane.DedupEntry, len(fe.Entries))
-		for i, e := range fe.Entries {
-			entries[i] = dataplane.DedupEntry{Reporter: detect.SwitchID(e.Reporter), Hop: int(e.Hop)}
-		}
 		w := &dataplane.DedupWindow{}
-		w.Restore(entries)
+		w.Restore(fe.Entries)
 		s.shardFor(fe.Flow).flows[fe.Flow] = w
 	}
 }

@@ -642,16 +642,6 @@ func (s *Server) shardFor(flow uint32) *shard {
 	return s.shards[s.shardIndex(flow)]
 }
 
-// batchItem is one decoded report or tick frame parked in a
-// connection's ingest batch between the coalesced read and the batched
-// account/journal/enqueue step.
-type batchItem struct {
-	seq  uint64
-	ev   dataplane.LoopEvent
-	hop  int
-	tick bool
-}
-
 // handle is the per-connection reader: hello, then a stream of report
 // and tick frames, acknowledged in batches. Any decode error kills the
 // connection (the client reconnects and retransmits unacknowledged
@@ -673,7 +663,7 @@ func (s *Server) handle(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	br := bufio.NewReaderSize(conn, 1<<15)
+	br := bufio.NewReaderSize(conn, frameReaderSize)
 	bw := bufio.NewWriterSize(conn, 1<<10)
 	ackBuf := make([]byte, 0, lenPrefixSize+frameOverhead+seqBodyLen)
 
@@ -729,7 +719,7 @@ func (s *Server) handle(conn net.Conn) {
 		return true
 	}
 
-	batch := make([]batchItem, 0, s.cfg.Batch)
+	batch := make([]Frame, 0, s.cfg.Batch)
 	groups := make([][]shardItem, len(s.shards))
 	ingest := func() {
 		if len(batch) > 0 {
@@ -755,17 +745,11 @@ func (s *Server) handle(conn net.Conn) {
 	drain:
 		for {
 			switch f.Type {
-			case FrameReport:
+			case FrameReport, FrameTick:
 				if f.Seq > lastSeen {
 					lastSeen = f.Seq
 				}
-				batch = append(batch, batchItem{seq: f.Seq, ev: f.Event, hop: f.Hop})
-				pending++
-			case FrameTick:
-				if f.Seq > lastSeen {
-					lastSeen = f.Seq
-				}
-				batch = append(batch, batchItem{seq: f.Seq, tick: true})
+				batch = append(batch, f)
 				pending++
 			case FrameHeartbeat:
 				// Not sequence-accounted; answer with the current
@@ -857,7 +841,7 @@ func writeAck(bw *bufio.Writer, ackBuf []byte, seq uint64) ([]byte, error) {
 // flushed first, so each shard's queue sees reports and ticks in
 // arrival order, and a journal replay (which applies records one at a
 // time, in order) reproduces the exact same delivery sequence.
-func (s *Server) ingestBatch(cs *clientSeq, clientID uint64, batch []batchItem, groups [][]shardItem) {
+func (s *Server) ingestBatch(cs *clientSeq, clientID uint64, batch []Frame, groups [][]shardItem) {
 	j := s.journal
 	if j != nil {
 		j.mu.Lock()
@@ -865,16 +849,16 @@ func (s *Server) ingestBatch(cs *clientSeq, clientID uint64, batch []batchItem, 
 	}
 	var ingested, ticks, dupes uint64
 	for i := range batch {
-		it := &batch[i]
-		if !cs.account(it.seq) {
+		f := &batch[i]
+		if !cs.account(f.Seq) {
 			dupes++
 			continue
 		}
-		if it.tick {
+		if j != nil {
+			j.appendFrameLocked(clientID, f)
+		}
+		if f.Type == FrameTick {
 			ticks++
-			if j != nil {
-				j.appendTickLocked(clientID, it.seq)
-			}
 			flushShardGroups(s.shards, groups)
 			for _, sh := range s.shards {
 				sh.push(shardItem{tick: true})
@@ -882,11 +866,8 @@ func (s *Server) ingestBatch(cs *clientSeq, clientID uint64, batch []batchItem, 
 			continue
 		}
 		ingested++
-		if j != nil {
-			j.appendReportLocked(clientID, it.seq, eventToRecord(it.ev), it.hop)
-		}
-		idx := s.shardIndex(it.ev.Flow)
-		groups[idx] = append(groups[idx], shardItem{ev: it.ev, hop: it.hop})
+		idx := s.shardIndex(f.Event.Flow)
+		groups[idx] = append(groups[idx], shardItem{ev: f.Event, hop: f.Hop})
 	}
 	flushShardGroups(s.shards, groups)
 	if dupes > 0 {

@@ -55,9 +55,8 @@ import (
 //	FrameAck     seq (8)
 //	FrameHeartbeat  seq (8, the client's highest sent seq; informational)
 //
-// Field encodings reuse the conventions of internal/frames and the
-// emulator frame: big-endian fixed-width integers, switch IDs as their
-// raw 32 bits. Sequence numbers are per-client and strictly increasing;
+// Field encodings follow the emulator frame's conventions: big-endian
+// fixed-width integers, switch IDs as their raw 32 bits. Sequence numbers are per-client and strictly increasing;
 // the server acknowledges the highest sequence it has accounted for and
 // treats anything at or below a client's high-water mark as a transport
 // duplicate, which is what turns at-least-once retransmission into
@@ -74,6 +73,12 @@ const (
 	// MaxMembers caps the loop membership list in one report frame
 	// (double the data plane's collection cap, leaving headroom).
 	MaxMembers = 64
+
+	// frameReaderSize sizes the bufio.Reader both ends of a connection
+	// read frames through: one maximal frame fits (ReadFrameBuffered
+	// peeks whole frames in place), and the server's coalesced reads
+	// drain many small ones per syscall.
+	frameReaderSize = 1 << 15
 
 	lenPrefixSize  = 4
 	frameOverhead  = 2 // version + type
@@ -118,7 +123,9 @@ var (
 
 // Frame is one decoded frame. Which fields are meaningful depends on
 // Type: ClientID for hellos, Seq for reports/ticks/acks, Hop and Event
-// for reports.
+// for reports. It is also the one in-memory form of a report or tick
+// along the whole path: the client's send queues, the server's ingest
+// batch, and the journal records replay stages.
 type Frame struct {
 	Type     uint8
 	ClientID uint64
@@ -159,6 +166,32 @@ func AppendReport(dst []byte, seq uint64, ev dataplane.LoopEvent, hop int) ([]by
 		return dst, fmt.Errorf("%w: negative hop/node (hop=%d report-hops=%d node=%d)", ErrBadFrame, hop, ev.Hops, ev.Node)
 	}
 	dst, off := appendPrefix(dst, FrameReport)
+	dst = appendReportBody(dst, seq, ev, hop)
+	return patchLen(dst, off), nil
+}
+
+// AppendTick appends an epoch-tick frame.
+func AppendTick(dst []byte, seq uint64) []byte { return appendSeqFrame(dst, FrameTick, seq) }
+
+// AppendAck appends an acknowledgement of the highest accounted seq.
+func AppendAck(dst []byte, seq uint64) []byte { return appendSeqFrame(dst, FrameAck, seq) }
+
+// AppendHeartbeat appends a keep-alive frame carrying the client's
+// highest sent sequence (informational only).
+func AppendHeartbeat(dst []byte, seq uint64) []byte { return appendSeqFrame(dst, FrameHeartbeat, seq) }
+
+// appendSeqFrame appends a frame whose whole body is one sequence number.
+func appendSeqFrame(dst []byte, typ uint8, seq uint64) []byte {
+	dst, off := appendPrefix(dst, typ)
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	return patchLen(dst, off)
+}
+
+// appendReportBody appends a report frame's body — the bytes after
+// version and type — without validation: AppendReport checks an event
+// before it first reaches the wire, and the journal only re-encodes
+// frames decodeFrameBody already accepted.
+func appendReportBody(dst []byte, seq uint64, ev dataplane.LoopEvent, hop int) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, seq)
 	dst = binary.BigEndian.AppendUint32(dst, ev.Flow)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(ev.Reporter))
@@ -169,29 +202,7 @@ func AppendReport(dst []byte, seq uint64, ev dataplane.LoopEvent, hop int) ([]by
 	for _, id := range ev.Members {
 		dst = binary.BigEndian.AppendUint32(dst, uint32(id))
 	}
-	return patchLen(dst, off), nil
-}
-
-// AppendTick appends an epoch-tick frame.
-func AppendTick(dst []byte, seq uint64) []byte {
-	dst, off := appendPrefix(dst, FrameTick)
-	dst = binary.BigEndian.AppendUint64(dst, seq)
-	return patchLen(dst, off)
-}
-
-// AppendAck appends an acknowledgement of the highest accounted seq.
-func AppendAck(dst []byte, seq uint64) []byte {
-	dst, off := appendPrefix(dst, FrameAck)
-	dst = binary.BigEndian.AppendUint64(dst, seq)
-	return patchLen(dst, off)
-}
-
-// AppendHeartbeat appends a keep-alive frame carrying the client's
-// highest sent sequence (informational only).
-func AppendHeartbeat(dst []byte, seq uint64) []byte {
-	dst, off := appendPrefix(dst, FrameHeartbeat)
-	dst = binary.BigEndian.AppendUint64(dst, seq)
-	return patchLen(dst, off)
+	return dst
 }
 
 // DecodeFrame parses one frame from the front of buf, returning the
@@ -203,12 +214,9 @@ func DecodeFrame(buf []byte) (Frame, int, error) {
 	if len(buf) < lenPrefixSize {
 		return f, 0, fmt.Errorf("%w: %d bytes, need %d for the length prefix", ErrShortFrame, len(buf), lenPrefixSize)
 	}
-	n := int(binary.BigEndian.Uint32(buf))
-	if n > MaxFrameBody {
-		return f, 0, fmt.Errorf("%w: length prefix %d exceeds cap %d", ErrOversizeFrame, n, MaxFrameBody)
-	}
-	if n < frameOverhead {
-		return f, 0, fmt.Errorf("%w: length prefix %d below the %d-byte version+type", ErrBadFrame, n, frameOverhead)
+	n, err := frameLen(buf)
+	if err != nil {
+		return f, 0, err
 	}
 	if len(buf) < lenPrefixSize+n {
 		return f, 0, fmt.Errorf("%w: %d of %d frame bytes", ErrShortFrame, len(buf)-lenPrefixSize, n)
@@ -219,13 +227,34 @@ func DecodeFrame(buf []byte) (Frame, int, error) {
 	return f, lenPrefixSize + n, nil
 }
 
+// frameLen reads a length prefix and checks it against MaxFrameBody and
+// the version+type minimum, before anything is read or allocated by it.
+func frameLen(prefix []byte) (int, error) {
+	n := int(binary.BigEndian.Uint32(prefix))
+	if n > MaxFrameBody {
+		return 0, fmt.Errorf("%w: length prefix %d exceeds cap %d", ErrOversizeFrame, n, MaxFrameBody)
+	}
+	if n < frameOverhead {
+		return 0, fmt.Errorf("%w: length prefix %d below the %d-byte version+type", ErrBadFrame, n, frameOverhead)
+	}
+	return n, nil
+}
+
 // decodeBody parses version, type, and the type-specific body.
 func decodeBody(f *Frame, b []byte) error {
 	if b[0] != WireVersion {
 		return fmt.Errorf("%w: %d", ErrBadVersion, b[0])
 	}
 	f.Type = b[1]
-	body := b[frameOverhead:]
+	return decodeFrameBody(f, b[frameOverhead:])
+}
+
+// decodeFrameBody parses the body of a frame of type f.Type — the one
+// body decoder, shared by the wire readers and journal replay (whose
+// report and tick records carry the body exactly as it arrived). Every
+// length is checked exactly, and a report's member count against
+// MaxMembers before anything is allocated.
+func decodeFrameBody(f *Frame, body []byte) error {
 	switch f.Type {
 	case FrameHello:
 		if len(body) != helloBodyLen {
@@ -254,14 +283,12 @@ func decodeBody(f *Frame, b []byte) error {
 		if len(body) != reportFixedLen+4*count {
 			return fmt.Errorf("%w: report body of %d bytes for %d members, want %d", ErrBadFrame, len(body), count, reportFixedLen+4*count)
 		}
+		f.Event.Members = nil
 		if count > 0 {
-			members := make([]detect.SwitchID, count)
-			for i := range members {
-				members[i] = detect.SwitchID(binary.BigEndian.Uint32(body[reportFixedLen+4*i:]))
+			f.Event.Members = make([]detect.SwitchID, count)
+			for i := range f.Event.Members {
+				f.Event.Members[i] = detect.SwitchID(binary.BigEndian.Uint32(body[reportFixedLen+4*i:]))
 			}
-			f.Event.Members = members
-		} else {
-			f.Event.Members = nil
 		}
 	default:
 		return fmt.Errorf("%w: unknown frame type %d", ErrBadFrame, f.Type)
@@ -271,9 +298,10 @@ func decodeBody(f *Frame, b []byte) error {
 
 // ReadFrameBuffered reads one frame from br without copying the body
 // out of br's internal buffer: the frame is peeked in place, decoded,
-// and discarded. br's buffer must be at least lenPrefixSize +
-// MaxFrameBody + frameOverhead bytes (the server's 32 KiB reader is),
-// so any valid frame fits and Peek never fails on size. io.EOF is
+// and discarded. br must be at least lenPrefixSize + MaxFrameBody bytes
+// (both ends of a connection size theirs at frameReaderSize), so any
+// valid frame fits and Peek never fails on size. The length prefix is
+// checked against MaxFrameBody before the body is peeked. io.EOF is
 // returned verbatim at a clean frame boundary; a stream truncated
 // mid-frame surfaces as io.ErrUnexpectedEOF.
 func ReadFrameBuffered(br *bufio.Reader) (Frame, error) {
@@ -285,12 +313,9 @@ func ReadFrameBuffered(br *bufio.Reader) (Frame, error) {
 		}
 		return f, err
 	}
-	n := int(binary.BigEndian.Uint32(prefix))
-	if n > MaxFrameBody {
-		return f, fmt.Errorf("%w: length prefix %d exceeds cap %d", ErrOversizeFrame, n, MaxFrameBody)
-	}
-	if n < frameOverhead {
-		return f, fmt.Errorf("%w: length prefix %d below the %d-byte version+type", ErrBadFrame, n, frameOverhead)
+	n, err := frameLen(prefix)
+	if err != nil {
+		return f, err
 	}
 	whole, err := br.Peek(lenPrefixSize + n)
 	if err != nil {
@@ -315,46 +340,6 @@ func frameBuffered(br *bufio.Reader) bool {
 		return false
 	}
 	prefix, _ := br.Peek(lenPrefixSize)
-	n := int(binary.BigEndian.Uint32(prefix))
-	if n > MaxFrameBody || n < frameOverhead {
-		return true
-	}
-	return br.Buffered() >= lenPrefixSize+n
-}
-
-// ReadFrame reads one frame from br, using scratch as the body buffer
-// (grown as needed, returned for reuse). The length prefix is validated
-// against MaxFrameBody before any body allocation. io.EOF is returned
-// verbatim at a clean frame boundary; a stream truncated mid-frame
-// surfaces as io.ErrUnexpectedEOF.
-func ReadFrame(br *bufio.Reader, scratch []byte) (Frame, []byte, error) {
-	var f Frame
-	var prefix [lenPrefixSize]byte
-	if _, err := io.ReadFull(br, prefix[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return f, scratch, fmt.Errorf("%w: truncated length prefix", ErrShortFrame)
-		}
-		return f, scratch, err
-	}
-	n := int(binary.BigEndian.Uint32(prefix[:]))
-	if n > MaxFrameBody {
-		return f, scratch, fmt.Errorf("%w: length prefix %d exceeds cap %d", ErrOversizeFrame, n, MaxFrameBody)
-	}
-	if n < frameOverhead {
-		return f, scratch, fmt.Errorf("%w: length prefix %d below the %d-byte version+type", ErrBadFrame, n, frameOverhead)
-	}
-	if cap(scratch) < n {
-		scratch = make([]byte, n)
-	}
-	scratch = scratch[:n]
-	if _, err := io.ReadFull(br, scratch); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return f, scratch, io.ErrUnexpectedEOF
-		}
-		return f, scratch, err
-	}
-	if err := decodeBody(&f, scratch); err != nil {
-		return f, scratch, err
-	}
-	return f, scratch, nil
+	n, err := frameLen(prefix)
+	return err != nil || br.Buffered() >= lenPrefixSize+n
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // TestFrameRoundTrip encodes every frame type and decodes it back, both
-// through DecodeFrame (buffer) and ReadFrame (stream).
+// through DecodeFrame (buffer) and ReadFrameBuffered (stream).
 func TestFrameRoundTrip(t *testing.T) {
 	ev := dataplane.LoopEvent{
 		Report:  detect.Report{Reporter: 0xDEADBEEF, Hops: 17},
@@ -54,13 +54,10 @@ func TestFrameRoundTrip(t *testing.T) {
 		stream = append(stream, buf...)
 	}
 
-	// The same four frames back to back through the stream reader,
-	// sharing one scratch buffer.
-	br := bufio.NewReader(bytes.NewReader(stream))
-	var scratch []byte
+	// The same four frames back to back through the stream reader.
+	br := bufio.NewReaderSize(bytes.NewReader(stream), frameReaderSize)
 	for i := range want {
-		var f Frame
-		f, scratch, err = ReadFrame(br, scratch)
+		f, err := ReadFrameBuffered(br)
 		if err != nil {
 			t.Fatalf("stream frame %d: %v", i, err)
 		}
@@ -68,7 +65,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Errorf("stream frame %d: got %+v want %+v", i, f, want[i])
 		}
 	}
-	if _, _, err := ReadFrame(br, scratch); !errors.Is(err, io.EOF) {
+	if _, err := ReadFrameBuffered(br); !errors.Is(err, io.EOF) {
 		t.Errorf("end of stream: got %v, want io.EOF", err)
 	}
 }
@@ -126,8 +123,8 @@ func TestDecodeFrameErrors(t *testing.T) {
 func TestReadFrameTruncation(t *testing.T) {
 	buf := AppendTick(nil, 4)
 	for cut := 1; cut < len(buf); cut++ {
-		br := bufio.NewReader(bytes.NewReader(buf[:cut]))
-		_, _, err := ReadFrame(br, nil)
+		br := bufio.NewReaderSize(bytes.NewReader(buf[:cut]), frameReaderSize)
+		_, err := ReadFrameBuffered(br)
 		if err == nil {
 			t.Fatalf("cut %d: decoded a truncated frame", cut)
 		}
@@ -138,17 +135,32 @@ func TestReadFrameTruncation(t *testing.T) {
 }
 
 // TestReadFrameOversizeNoAlloc: a hostile length prefix is rejected
-// before the body buffer is grown.
+// from the prefix alone, before any body byte is read or peeked.
 func TestReadFrameOversizeNoAlloc(t *testing.T) {
 	in := binary.BigEndian.AppendUint32(nil, 1<<30)
 	in = append(in, make([]byte, 64)...)
-	_, scratch, err := ReadFrame(bufio.NewReader(bytes.NewReader(in)), nil)
-	if !errors.Is(err, ErrOversizeFrame) {
+	cr := &chunkReader{r: bytes.NewReader(in), chunk: lenPrefixSize}
+	br := bufio.NewReaderSize(cr, frameReaderSize)
+	if _, err := ReadFrameBuffered(br); !errors.Is(err, ErrOversizeFrame) {
 		t.Fatalf("got %v, want ErrOversizeFrame", err)
 	}
-	if cap(scratch) > MaxFrameBody {
-		t.Errorf("scratch grew to %d for a rejected frame", cap(scratch))
+	if cr.reads != 1 || br.Buffered() != lenPrefixSize {
+		t.Errorf("rejecting the prefix took %d reads and left %d bytes buffered, want 1 and %d", cr.reads, br.Buffered(), lenPrefixSize)
 	}
+}
+
+// chunkReader hands out at most chunk bytes per Read and counts the
+// reads, so a test can see exactly when a bufio.Reader goes back to
+// the stream.
+type chunkReader struct {
+	r     io.Reader
+	chunk int
+	reads int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p[:min(len(p), c.chunk)])
 }
 
 // TestAppendReportRejectsBadEvents: events the wire format cannot carry
