@@ -57,6 +57,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 5s ./internal/bitpack
 	$(GO) test -run '^$$' -fuzz '^FuzzWriterRoundTrip$$' -fuzztime 5s ./internal/bitpack
+	$(GO) test -run '^$$' -fuzz '^FuzzWriterMatchesReference$$' -fuzztime 5s ./internal/bitpack
 	$(GO) test -run '^$$' -fuzz '^FuzzPacket$$' -fuzztime 10s ./internal/dataplane
 	$(GO) test -run '^$$' -fuzz '^FuzzReportFrame$$' -fuzztime 10s ./internal/collectorsvc
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalSegment$$' -fuzztime 10s ./internal/collectorsvc

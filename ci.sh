@@ -119,6 +119,7 @@ go test -race -run 'TestOracle' -count 1 ./internal/scenario
 echo "==> fuzz smoke (internal/bitpack, 5s per target)"
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 5s ./internal/bitpack
 go test -run '^$' -fuzz '^FuzzWriterRoundTrip$' -fuzztime 5s ./internal/bitpack
+go test -run '^$' -fuzz '^FuzzWriterMatchesReference$' -fuzztime 5s ./internal/bitpack
 
 echo "==> fuzz smoke (internal/dataplane packet wire format, 10s)"
 go test -run '^$' -fuzz '^FuzzPacket$' -fuzztime 10s ./internal/dataplane

@@ -26,6 +26,11 @@ type Writer struct {
 
 // WriteBits appends the low width bits of v, most significant bit first.
 // width must be in [0, 64]; width 0 is a no-op.
+//
+// The field moves a byte at a time: the bits that fill the partly
+// written last byte, then whole bytes, then the bits that start a new
+// partial byte. Every width takes the same path, and the output is the
+// same as writing one bit after another.
 func (w *Writer) WriteBits(v uint64, width uint) {
 	if width > 64 {
 		panic(fmt.Sprintf("bitpack: invalid width %d", width))
@@ -33,20 +38,27 @@ func (w *Writer) WriteBits(v uint64, width uint) {
 	if width < 64 {
 		v &= (1 << width) - 1
 	}
-	for width > 0 {
-		if w.nbit%8 == 0 {
-			w.buf = append(w.buf, 0)
+	if width == 0 {
+		return
+	}
+	used := w.nbit % 8 // bits already written in the last byte
+	w.nbit += width
+	if used != 0 {
+		free := 8 - used
+		last := len(w.buf) - 1
+		if width <= free {
+			w.buf[last] |= byte((v << (free - width)) & 0xff)
+			return
 		}
-		free := 8 - w.nbit%8 // free bits in the last byte
-		take := free
-		if width < take {
-			take = width
-		}
-		chunk := byte((v >> (width - take)) & (1<<take - 1))
-		//unroller:allow wirewidth -- chunk has ≤ take bits; take + (free−take) = free ≤ 8
-		w.buf[len(w.buf)-1] |= chunk << (free - take)
-		w.nbit += take
-		width -= take
+		width -= free
+		w.buf[last] |= byte((v >> width) & 0xff)
+	}
+	for width >= 8 {
+		width -= 8
+		w.buf = append(w.buf, byte((v>>width)&0xff))
+	}
+	if width > 0 {
+		w.buf = append(w.buf, byte((v<<(8-width))&0xff))
 	}
 }
 
@@ -92,7 +104,9 @@ type Reader struct {
 func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
 
 // ReadBits reads the next width bits (most significant first) and returns
-// them in the low bits of the result. width must be in [0, 64].
+// them in the low bits of the result. width must be in [0, 64]. Like
+// WriteBits it moves a byte at a time: the rest of a partly read byte,
+// then whole bytes, then the leading bits of the last byte.
 func (r *Reader) ReadBits(width uint) (uint64, error) {
 	if width > 64 {
 		panic(fmt.Sprintf("bitpack: invalid width %d", width))
@@ -100,20 +114,28 @@ func (r *Reader) ReadBits(width uint) (uint64, error) {
 	if r.pos+width > uint(len(r.buf))*8 {
 		return 0, ErrShortBuffer
 	}
+	if width == 0 {
+		return 0, nil
+	}
+	idx := r.pos / 8
+	off := r.pos % 8
+	r.pos += width
 	var v uint64
-	remaining := width
-	for remaining > 0 {
-		byteIdx := r.pos / 8
-		bitOff := r.pos % 8
-		avail := 8 - bitOff
-		take := avail
-		if remaining < take {
-			take = remaining
+	if off != 0 {
+		avail := 8 - off // unread bits left in buf[idx]
+		v = uint64(r.buf[idx] & (0xff >> off))
+		if width <= avail {
+			return v >> (avail - width), nil
 		}
-		chunk := uint64(r.buf[byteIdx]>>(avail-take)) & ((1 << take) - 1)
-		v = v<<take | chunk
-		r.pos += take
-		remaining -= take
+		width -= avail
+		idx++
+	}
+	for ; width >= 8; width -= 8 {
+		v = v<<8 | uint64(r.buf[idx])
+		idx++
+	}
+	if width > 0 {
+		v = v<<width | uint64(r.buf[idx]>>(8-width))
 	}
 	return v, nil
 }

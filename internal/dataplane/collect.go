@@ -102,7 +102,7 @@ func (a LoopAction) String() string {
 // processCollect handles a packet already in collection mode: the
 // initiator closes the lap and reports; everyone else appends its
 // identifier and forwards along the (still looping) FIB.
-func (s *Switch) processCollect(p *Packet) (Decision, error) {
+func (s *Switch) processCollect(p *Packet, c *hopCounts) (Decision, error) {
 	rec, err := unmarshalCollect(p.Telemetry)
 	if err != nil {
 		return Decision{}, fmt.Errorf("dataplane: %v: %w", s.ID, err)
@@ -125,15 +125,15 @@ func (s *Switch) processCollect(p *Packet) (Decision, error) {
 		}
 		p.Telemetry = tel
 	}
-	port, ok := s.fib[p.Dst]
+	port, ok := s.Route(p.Dst)
 	if !ok {
-		s.stats.noRoute.Add(1)
+		c.noRoute++
 		return Decision{Disposition: DropNoRoute}, nil
 	}
 	if !s.portUp[port] {
-		s.stats.linkDrops.Add(1)
+		c.linkDrops++
 		return Decision{Disposition: DropLink}, nil
 	}
-	s.stats.forwarded.Add(1)
+	c.forwarded++
 	return Decision{Disposition: Forward, Egress: port}, nil
 }

@@ -98,3 +98,28 @@ func TestSendFlowMatchesSend(t *testing.T) {
 		}
 	}
 }
+
+// TestHopLoopAllocationFree: once a scratch is warm, a telemetry flow's
+// whole journey allocates nothing — with an engine worker's per-node
+// counters and per-link loads, and with the per-hop folds Send and
+// SendFlow use. The empty header is copied from the network's cached
+// encoding and every hop decodes into the scratch's one detector state.
+func TestHopLoopAllocationFree(t *testing.T) {
+	n, _, dst := torusWithLoop(t, core.DefaultConfig(), 80)
+	f := Flow{Src: 0, Dst: dst, ID: 1, TTL: InitialTTL, Telemetry: true}
+	for _, sc := range []*sendScratch{
+		{loads: make([]uint64, len(n.links)), counts: make([]hopCounts, len(n.switches))},
+		{},
+	} {
+		journey := func() {
+			sum, err := n.send(sc, f, nil)
+			if err != nil || sum.Final != Deliver || sum.Hops < 2 {
+				t.Fatalf("journey: %+v, %v", sum, err)
+			}
+		}
+		journey() // warm the wire buffers and the state
+		if allocs := testing.AllocsPerRun(100, journey); allocs != 0 {
+			t.Fatalf("engine=%v: %.2f allocations per journey", sc.counts != nil, allocs)
+		}
+	}
+}

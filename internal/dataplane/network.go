@@ -24,7 +24,7 @@ type Network struct {
 	Assign *topology.Assignment
 
 	switches []*Switch
-	unroller *core.Unroller
+	pipe     pipeline
 
 	// Link-load accounting is dense and lock-free. Every undirected
 	// link {u, v} (u < v) gets an index into links, assigned in
@@ -83,15 +83,20 @@ func NewNetwork(g *topology.Graph, assign *topology.Assignment, cfg core.Config)
 	if err != nil {
 		return nil, err
 	}
+	pipe, err := newPipeline(u, g.N())
+	if err != nil {
+		return nil, err
+	}
 	n := &Network{
 		Graph:      g,
 		Assign:     assign,
 		switches:   make([]*Switch, g.N()),
-		unroller:   u,
+		pipe:       pipe,
 		Controller: NewController(),
 	}
 	for node := 0; node < g.N(); node++ {
-		n.switches[node] = newSwitch(assign.ID(node), node, g.Neighbors(node), u)
+		pipe.fib.intern(assign.ID(node))
+		n.switches[node] = newSwitch(assign.ID(node), node, g.Neighbors(node), pipe)
 	}
 	n.indexLinks()
 	return n, nil
@@ -370,16 +375,20 @@ type TraceSummary struct {
 // sendScratch holds the per-in-flight-packet reusable state of the hop
 // loop: two wire buffers (each hop marshals into the buffer the packet
 // was not parsed from, so in-place telemetry rewrites never alias the
-// marshal destination), a telemetry seed buffer, the packet struct, and
-// — for engine workers — a private link-load accumulator.
+// marshal destination), a telemetry seed buffer, the packet struct, the
+// detector state every hop decodes into, and — for engine workers —
+// private link-load and switch-counter accumulators.
 type sendScratch struct {
 	wireA, wireB []byte
 	tel          []byte
 	pkt          Packet
-	// loads, when non-nil, receives link traversals instead of the
-	// shared atomic counters; the owner merges it via mergeLoads once
-	// its batch completes.
-	loads []uint64
+	state        *core.State
+	// loads and counts, when non-nil, receive link traversals and
+	// per-node switch counters instead of the shared atomic counters;
+	// the owner merges them via mergeLoads and mergeCounts once its
+	// batch completes.
+	loads  []uint64
+	counts []hopCounts
 	// dedup is the per-flow report-dedup window (see DedupWindow); it is
 	// reset at the start of every journey.
 	dedup DedupWindow
@@ -413,8 +422,9 @@ func (n *Network) SendFlow(f Flow) (TraceSummary, error) {
 // traffic engine (tr == nil: summary only). Scratch buffers in sc are
 // reused across hops and, for engine workers, across flows: after the
 // first few hops warm the two wire buffers, a forwarding hop performs no
-// heap allocation in this loop (the telemetry re-encode in
-// Switch.Process writes in place via AppendHeader(p.Telemetry[:0])).
+// heap allocation in this loop (the telemetry re-encode in the switch
+// pipeline writes in place via AppendHeader(p.Telemetry[:0]), and every
+// hop decodes into the scratch's one detector state).
 func (n *Network) send(sc *sendScratch, f Flow, tr *Trace) (TraceSummary, error) {
 	sum := TraceSummary{Flow: f.ID, Src: f.Src, Dst: f.Dst, Telemetry: f.Telemetry}
 	if f.Src < 0 || f.Src >= n.Graph.N() || f.Dst < 0 || f.Dst >= n.Graph.N() {
@@ -428,14 +438,18 @@ func (n *Network) send(sc *sendScratch, f Flow, tr *Trace) (TraceSummary, error)
 		Dst:  n.Assign.ID(f.Dst),
 	}
 	if f.Telemetry {
-		tel, err := n.unroller.NewPacketState().AppendHeader(sc.tel[:0])
-		if err != nil {
-			return sum, err
-		}
-		sc.tel = tel
-		p.Telemetry = tel
+		sc.tel = append(sc.tel[:0], n.pipe.emptyHeader...)
+		p.Telemetry = sc.tel
+	}
+	if sc.state == nil {
+		// Even a blind packet can arrive with telemetry when
+		// corruption rewrites its length byte.
+		sc.state = n.pipe.unroller.NewPacketState()
 	}
 	sc.dedup.Reset()
+	// hop receives each hop's switch counters when sc has no per-node
+	// array; they are folded into the switch after every hop.
+	var hop hopCounts
 	cur := f.Src
 	// tainted records that an earlier hop's wire corruption struck this
 	// packet: any later parse or pipeline failure is then the fault
@@ -467,7 +481,14 @@ func (n *Network) send(sc *sendScratch, f Flow, tr *Trace) (TraceSummary, error)
 		if n.OnHop != nil {
 			n.OnHop(cur, sw.ID, p)
 		}
-		dec, err := sw.Process(p)
+		hc := &hop
+		if sc.counts != nil {
+			hc = &sc.counts[cur]
+		}
+		dec, err := sw.process(p, sc.state, hc)
+		if sc.counts == nil {
+			sw.stats.fold(hc)
+		}
 		if err != nil {
 			if tainted {
 				sum.Final = DropCorrupt
@@ -537,7 +558,7 @@ func (n *Network) send(sc *sendScratch, f Flow, tr *Trace) (TraceSummary, error)
 
 // Unroller exposes the shared detector (e.g. for header inspection in
 // tools).
-func (n *Network) Unroller() *core.Unroller { return n.unroller }
+func (n *Network) Unroller() *core.Unroller { return n.pipe.unroller }
 
 // SetLoopPolicy applies a loop reaction policy to every switch.
 func (n *Network) SetLoopPolicy(a LoopAction) {
@@ -555,6 +576,14 @@ func (n *Network) mergeLoads(loads []uint64) {
 		if c != 0 {
 			n.linkLoad[i].Add(c)
 		}
+	}
+}
+
+// mergeCounts folds a per-worker array of per-node switch counters into
+// the switches' shared counters, by addition like mergeLoads.
+func (n *Network) mergeCounts(counts []hopCounts) {
+	for node := range counts {
+		n.switches[node].stats.fold(&counts[node])
 	}
 }
 

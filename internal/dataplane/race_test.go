@@ -46,6 +46,8 @@ func netTotals(n *Network) (stats SwitchStats, loads []uint64, reports int) {
 		stats.NoRoute += s.NoRoute
 		stats.LoopHits += s.LoopHits
 		stats.Reroutes += s.Reroutes
+		stats.LinkDrops += s.LinkDrops
+		stats.Restarts += s.Restarts
 	}
 	for _, l := range n.links {
 		loads = append(loads, n.LinkLoad(l[0], l[1]))
@@ -104,46 +106,89 @@ func TestParallelSendExactCounts(t *testing.T) {
 }
 
 // TestTrafficEngineExactCounts: the batched engine path (per-worker
-// scratch buffers and load accumulators) must match a single-threaded
-// run summary for summary and counter for counter, at every worker
-// count.
+// scratch buffers, detector state, and load and counter accumulators)
+// must match a single-threaded run summary for summary and counter for
+// counter, at every worker count. Each input names the counters its
+// serial run must exercise, so every SwitchStats field is compared
+// non-trivially across the table.
 func TestTrafficEngineExactCounts(t *testing.T) {
-	seqNet, _, dst := torusWithLoop(t, core.DefaultConfig(), 78)
-	flows := mixedFlows(dst, 96, 0xD0D0)
-
-	want := make([]TraceSummary, len(flows))
-	for i, f := range flows {
-		var err error
-		if want[i], err = seqNet.SendFlow(f); err != nil {
-			t.Fatal(err)
-		}
+	ttlCfg := core.DefaultConfig()
+	ttlCfg.TTLHopCount = true
+	const dst = 15 // torusWithLoop's destination
+	cases := []struct {
+		name      string
+		cfg       core.Config
+		setup     func(*Network) error
+		exercises func(SwitchStats) bool
+	}{
+		{"reroute", core.DefaultConfig(), nil,
+			func(s SwitchStats) bool { return s.Reroutes > 0 && s.LoopHits > 0 && s.TTLDrops > 0 }},
+		{"drop", core.DefaultConfig(),
+			func(n *Network) error { n.SetLoopPolicy(ActionDrop); return nil },
+			func(s SwitchStats) bool { return s.LoopHits > 0 && s.Reroutes == 0 }},
+		{"collect", core.DefaultConfig(),
+			func(n *Network) error { n.SetLoopPolicy(ActionCollect); return nil },
+			func(s SwitchStats) bool { return s.LoopHits > 0 && s.Reroutes == 0 }},
+		{"ttl-hop-count", ttlCfg, nil,
+			func(s SwitchStats) bool { return s.LoopHits > 0 && s.Delivered > 0 }},
+		{"link-down", core.DefaultConfig(),
+			func(n *Network) error { return n.SetLink(14, dst, false) },
+			func(s SwitchStats) bool { return s.LinkDrops > 0 }},
+		{"no-route", core.DefaultConfig(),
+			func(n *Network) error { n.Switch(11).ClearRoute(n.Assign.ID(dst)); return nil },
+			func(s SwitchStats) bool { return s.NoRoute > 0 }},
 	}
-	wantStats, wantLoads, wantReports := netTotals(seqNet)
+	flows := mixedFlows(dst, 96, 0xD0D0)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() *Network {
+				n, _, _ := torusWithLoop(t, tc.cfg, 78)
+				if tc.setup != nil {
+					if err := tc.setup(n); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return n
+			}
+			seqNet := build()
+			want := make([]TraceSummary, len(flows))
+			for i, f := range flows {
+				var err error
+				if want[i], err = seqNet.SendFlow(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantStats, wantLoads, wantReports := netTotals(seqNet)
+			if !tc.exercises(wantStats) {
+				t.Fatalf("serial run does not exercise the case: %+v", wantStats)
+			}
 
-	for _, workers := range []int{1, 2, 8} {
-		parNet, _, _ := torusWithLoop(t, core.DefaultConfig(), 78)
-		got, err := NewTrafficEngine(parNet, workers).SendMany(flows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: summary %d diverges:\nengine     %+v\nsequential %+v", workers, i, got[i], want[i])
+			for _, workers := range []int{1, 2, 8} {
+				parNet := build()
+				got, err := NewTrafficEngine(parNet, workers).SendMany(flows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("workers=%d: summary %d diverges:\nengine     %+v\nsequential %+v", workers, i, got[i], want[i])
+					}
+				}
+				gotStats, gotLoads, gotReports := netTotals(parNet)
+				if gotStats != wantStats {
+					t.Fatalf("workers=%d: switch stats diverge:\nengine     %+v\nsequential %+v", workers, gotStats, wantStats)
+				}
+				if gotReports != wantReports {
+					t.Fatalf("workers=%d: controller counts diverge: %d vs %d", workers, gotReports, wantReports)
+				}
+				for i := range wantLoads {
+					if gotLoads[i] != wantLoads[i] {
+						l := parNet.links[i]
+						t.Fatalf("workers=%d: link {%d,%d} load diverges: %d vs %d", workers, l[0], l[1], gotLoads[i], wantLoads[i])
+					}
+				}
 			}
-		}
-		gotStats, gotLoads, gotReports := netTotals(parNet)
-		if gotStats != wantStats {
-			t.Fatalf("workers=%d: switch stats diverge:\nengine     %+v\nsequential %+v", workers, gotStats, wantStats)
-		}
-		if gotReports != wantReports {
-			t.Fatalf("workers=%d: controller counts diverge: %d vs %d", workers, gotReports, wantReports)
-		}
-		for i := range wantLoads {
-			if gotLoads[i] != wantLoads[i] {
-				l := parNet.links[i]
-				t.Fatalf("workers=%d: link {%d,%d} load diverges: %d vs %d", workers, l[0], l[1], gotLoads[i], wantLoads[i])
-			}
-		}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -93,7 +94,8 @@ const InitialTTL = 255
 // Switch is one forwarding element. Per the paper, Unroller keeps no
 // per-flow state on the switch: the registers hold only the switch's own
 // identifier, the algorithm configuration, and the 256-entry phase-start
-// lookup table. The FIB is ordinary destination-based forwarding state.
+// lookup table. The FIB is ordinary destination-based forwarding state,
+// kept in the network's shared destination-major table (see fibTable).
 type Switch struct {
 	// ID is the switch identifier announced in packets.
 	ID detect.SwitchID
@@ -104,11 +106,6 @@ type Switch struct {
 	// otherwise.
 	LoopPolicy LoopAction
 
-	// fib maps destination switch ID to egress port.
-	fib map[detect.SwitchID]PortID
-	// backup maps destination switch ID to an alternate egress used
-	// after a loop report; absent entries mean "drop on loop".
-	backup map[detect.SwitchID]PortID
 	// neighbors[p] is the node index reachable through port p.
 	neighbors []int
 	// portUp[p] mirrors the physical state of the link behind port p.
@@ -117,22 +114,52 @@ type Switch struct {
 	// without synchronisation.
 	portUp []bool
 
-	// unroller is the shared detector (immutable, safe to share across
-	// switches); phaseLUT mirrors the hardware's lookup-table register.
-	unroller *core.Unroller
-	phaseLUT []bool
-
-	// states recycles per-packet detector state across Process calls;
-	// DecodeHeaderInto overwrites every field, so reuse is invisible to
-	// the pipeline.
-	states *statePool
+	pipeline
 
 	// stats are the live counters, mirroring what a P4 target would
 	// expose; read a consistent-enough snapshot with Stats.
 	stats switchCounters
 }
 
-// statePool recycles *core.State values so the hot hop loop does not
+// pipeline is what every switch of a network shares: the immutable
+// detector and what is derived from it once, the forwarding table, and
+// the state pool direct Process callers draw from.
+type pipeline struct {
+	// unroller is the shared detector (immutable, safe to share across
+	// switches); phaseLUT mirrors the hardware's lookup-table register.
+	unroller *core.Unroller
+	phaseLUT []bool
+	// ttlHops caches unroller.Config().TTLHopCount, read on every hop.
+	ttlHops bool
+	// emptyHeader is the encoded header of a packet that has not yet
+	// visited a switch. Injection and reroutes copy it into the
+	// packet's own buffer, never alias it: the next hop rewrites
+	// telemetry in place.
+	emptyHeader []byte
+	fib         *fibTable
+	// states recycles detector state across direct Process calls;
+	// DecodeHeaderInto overwrites every field, so reuse is invisible to
+	// the pipeline. Network sends bring their own state instead.
+	states *statePool
+}
+
+// newPipeline prepares the shared part of a network of nodes switches.
+func newPipeline(u *core.Unroller, nodes int) (pipeline, error) {
+	empty, err := u.NewPacketState().AppendHeader(nil)
+	if err != nil {
+		return pipeline{}, err
+	}
+	return pipeline{
+		unroller:    u,
+		phaseLUT:    core.PhaseStartTable(u.Config(), 256),
+		ttlHops:     u.Config().TTLHopCount,
+		emptyHeader: empty,
+		fib:         newFIB(nodes),
+		states:      newStatePool(u),
+	}, nil
+}
+
+// statePool recycles *core.State values so direct Process calls do not
 // allocate a fresh state (struct plus two slices) per decode. It is a
 // thin typed wrapper over sync.Pool; the Get-side type assertion lives
 // here, outside any hotpath-tagged function body.
@@ -162,11 +189,12 @@ type SwitchStats struct {
 	Restarts  uint64
 }
 
-// switchCounters are the live per-switch counters. They are updated
-// atomically so parallel Send calls and TrafficEngine workers can share
-// switches without locks: each field is an independent statistic, so
-// per-field atomicity is the exact semantics a hardware counter array
-// has.
+// switchCounters are the live per-switch counters. They are atomic so
+// parallel Send calls and TrafficEngine workers can share switches
+// without locks: each field is an independent statistic, so per-field
+// atomicity is the exact semantics a hardware counter array has. The
+// pipeline itself never touches them; it counts into a hopCounts its
+// caller owns, and the caller folds that in.
 type switchCounters struct {
 	received  atomic.Uint64
 	forwarded atomic.Uint64
@@ -179,10 +207,50 @@ type switchCounters struct {
 	restarts  atomic.Uint64
 }
 
+// hopCounts is the plain, single-owner counterpart of switchCounters
+// that the pipeline counts into. SendMany workers keep one per node and
+// fold them when they finish, as they do link loads; Send, SendFlow and
+// direct Process calls fold after every hop. Addition commutes, so the
+// folded totals do not depend on who folds when.
+type hopCounts struct {
+	received, forwarded, delivered, ttlDrops uint64
+	noRoute, loopHits, reroutes, linkDrops   uint64
+}
+
+// fold adds c to the shared counters and zeroes c.
+func (sc *switchCounters) fold(c *hopCounts) {
+	if c.received != 0 {
+		sc.received.Add(c.received)
+	}
+	if c.forwarded != 0 {
+		sc.forwarded.Add(c.forwarded)
+	}
+	if c.delivered != 0 {
+		sc.delivered.Add(c.delivered)
+	}
+	if c.ttlDrops != 0 {
+		sc.ttlDrops.Add(c.ttlDrops)
+	}
+	if c.noRoute != 0 {
+		sc.noRoute.Add(c.noRoute)
+	}
+	if c.loopHits != 0 {
+		sc.loopHits.Add(c.loopHits)
+	}
+	if c.reroutes != 0 {
+		sc.reroutes.Add(c.reroutes)
+	}
+	if c.linkDrops != 0 {
+		sc.linkDrops.Add(c.linkDrops)
+	}
+	*c = hopCounts{}
+}
+
 // Stats returns a snapshot of the switch's counters. Each field is read
 // atomically; when sends are in flight the fields may straddle packet
-// boundaries, but once traffic quiesces (e.g. after SendMany returns)
-// the snapshot is exact.
+// boundaries and miss what SendMany workers have not yet folded, but
+// once traffic quiesces (e.g. after SendMany returns) the snapshot is
+// exact.
 func (s *Switch) Stats() SwitchStats {
 	return SwitchStats{
 		Received:  s.stats.received.Load(),
@@ -197,8 +265,8 @@ func (s *Switch) Stats() SwitchStats {
 	}
 }
 
-// newSwitch wires a switch for the given node.
-func newSwitch(id detect.SwitchID, node int, neighbors []int, u *core.Unroller) *Switch {
+// newSwitch wires a switch for the given node of the network pl serves.
+func newSwitch(id detect.SwitchID, node int, neighbors []int, pl pipeline) *Switch {
 	up := make([]bool, len(neighbors))
 	for i := range up {
 		up[i] = true
@@ -207,52 +275,60 @@ func newSwitch(id detect.SwitchID, node int, neighbors []int, u *core.Unroller) 
 		ID:         id,
 		Node:       node,
 		LoopPolicy: ActionReroute, // deflect when a backup exists, else drop
-		fib:        make(map[detect.SwitchID]PortID),
-		backup:     make(map[detect.SwitchID]PortID),
 		neighbors:  neighbors,
 		portUp:     up,
-		unroller:   u,
-		phaseLUT:   core.PhaseStartTable(u.Config(), 256),
-		states:     newStatePool(u),
+		pipeline:   pl,
 	}
+}
+
+// checkPort rejects ports the switch does not have.
+func (s *Switch) checkPort(port PortID) error {
+	if int(port) < 0 || int(port) >= len(s.neighbors) || port > math.MaxInt16 {
+		return fmt.Errorf("dataplane: %v has no port %d", s.ID, port)
+	}
+	return nil
 }
 
 // SetRoute installs dst→port in the FIB.
 func (s *Switch) SetRoute(dst detect.SwitchID, port PortID) error {
-	if int(port) < 0 || int(port) >= len(s.neighbors) {
-		return fmt.Errorf("dataplane: %v has no port %d", s.ID, port)
+	if err := s.checkPort(port); err != nil {
+		return err
 	}
-	s.fib[dst] = port
+	s.fib.set(dst, s.Node, port)
 	return nil
 }
 
 // SetBackup installs an alternate egress for dst used after a loop
 // report.
 func (s *Switch) SetBackup(dst detect.SwitchID, port PortID) error {
-	if int(port) < 0 || int(port) >= len(s.neighbors) {
-		return fmt.Errorf("dataplane: %v has no port %d", s.ID, port)
+	if err := s.checkPort(port); err != nil {
+		return err
 	}
-	s.backup[dst] = port
+	s.fib.set(dst, s.fib.nodes+s.Node, port)
 	return nil
 }
 
 // ClearBackups removes every backup route, reverting the switch to the
 // paper's base behaviour: drop and report on detection.
-func (s *Switch) ClearBackups() { s.backup = make(map[detect.SwitchID]PortID) }
+func (s *Switch) ClearBackups() { s.fib.clearColumn(s.fib.nodes + s.Node) }
 
 // ClearRoute withdraws the FIB entry for dst (a route withdrawal from
 // the control plane); subsequent dst-bound packets drop as no-route.
 func (s *Switch) ClearRoute(dst detect.SwitchID) {
-	delete(s.fib, dst)
-	delete(s.backup, dst)
+	if row := s.fib.row(dst); row != nil {
+		row[s.Node] = noPort
+		row[s.fib.nodes+s.Node] = noPort
+	}
 }
 
 // Routes returns a copy of the FIB — the snapshot a scenario captures
 // before a restart so recovery can reinstall the exact same state.
 func (s *Switch) Routes() map[detect.SwitchID]PortID {
-	out := make(map[detect.SwitchID]PortID, len(s.fib))
-	for dst, p := range s.fib {
-		out[dst] = p
+	out := make(map[detect.SwitchID]PortID)
+	for r, row := range s.fib.rows {
+		if row != nil && row[s.Node] != noPort {
+			out[s.fib.ids[r]] = PortID(row[s.Node])
+		}
 	}
 	return out
 }
@@ -265,15 +341,14 @@ func (s *Switch) Routes() map[detect.SwitchID]PortID {
 // external observability, so both are kept. Restart must not race with
 // in-flight sends, like all route mutation.
 func (s *Switch) Restart() {
-	s.fib = make(map[detect.SwitchID]PortID)
-	s.backup = make(map[detect.SwitchID]PortID)
+	s.fib.clearColumn(s.Node)
+	s.fib.clearColumn(s.fib.nodes + s.Node)
 	s.stats.restarts.Add(1)
 }
 
 // Route returns the FIB entry for dst.
 func (s *Switch) Route(dst detect.SwitchID) (PortID, bool) {
-	p, ok := s.fib[dst]
-	return p, ok
+	return s.fib.get(dst, s.Node)
 }
 
 // Ports returns the number of ports.
@@ -287,32 +362,44 @@ func (s *Switch) Peer(p PortID) int { return s.neighbors[p] }
 // and bump Xcnt via Visit, (2)–(3) hash, compare, and update the stored
 // identifiers, (4) on a match report to the controller and drop — or
 // deflect to the backup port when one is installed — then deparse and
-// forward by FIB.
+// forward by FIB. The switch counters are updated before it returns.
+func (s *Switch) Process(p *Packet) (Decision, error) {
+	st := s.states.get()
+	var c hopCounts
+	dec, err := s.process(p, st, &c)
+	s.states.put(st)
+	s.stats.fold(&c)
+	return dec, err
+}
+
+// process is the per-hop body of Process. st is scratch detector state
+// the caller owns (its contents are overwritten), and the hop is counted
+// into c instead of the shared counters.
 //
 //unroller:hotpath
-func (s *Switch) Process(p *Packet) (Decision, error) {
-	s.stats.received.Add(1)
+func (s *Switch) process(p *Packet, st *core.State, c *hopCounts) (Decision, error) {
+	c.received++
 
 	// Collection-mode packets circulate the loop to record membership;
 	// they never deliver.
 	if p.Flags&FlagCollect != 0 {
 		if p.TTL == 0 {
-			s.stats.ttlDrops.Add(1)
+			c.ttlDrops++
 			return Decision{Disposition: DropTTL}, nil
 		}
 		p.TTL--
-		return s.processCollect(p)
+		return s.processCollect(p, c)
 	}
 
 	// Destination check precedes everything: the last hop delivers.
 	if p.Dst == s.ID {
-		s.stats.delivered.Add(1)
+		c.delivered++
 		return Decision{Disposition: Deliver}, nil
 	}
 
 	// TTL: decrement and drop at zero, the loss Unroller preempts.
 	if p.TTL == 0 {
-		s.stats.ttlDrops.Add(1)
+		c.ttlDrops++
 		return Decision{Disposition: DropTTL}, nil
 	}
 	p.TTL--
@@ -320,21 +407,18 @@ func (s *Switch) Process(p *Packet) (Decision, error) {
 	// Unroller control block over the in-band header.
 	var report *detect.Report
 	if len(p.Telemetry) > 0 {
-		st, err := s.decodeTelemetry(p)
-		if err != nil {
+		if err := s.decodeTelemetry(st, p); err != nil {
 			//unroller:allow hotpath -- malformed-header path: the packet is already dead
 			return Decision{}, fmt.Errorf("dataplane: %v: %w", s.ID, err)
 		}
 		verdict := st.Visit(s.ID)
 		if verdict == detect.Loop {
-			s.stats.loopHits.Add(1)
+			c.loopHits++
 			//unroller:allow hotpath -- fires once per detected loop, not per hop
 			report = &detect.Report{Reporter: s.ID, Hops: int(st.Hops())}
-			s.states.put(st)
-			return s.reactToLoop(p, report)
+			return s.reactToLoop(p, report, c)
 		}
 		tel, err := st.AppendHeader(p.Telemetry[:0])
-		s.states.put(st)
 		if err != nil {
 			//unroller:allow hotpath -- encode failure path: the packet is already dead
 			return Decision{}, fmt.Errorf("dataplane: %v: re-encode: %w", s.ID, err)
@@ -343,66 +427,56 @@ func (s *Switch) Process(p *Packet) (Decision, error) {
 	}
 
 	// Destination-based forwarding.
-	port, ok := s.fib[p.Dst]
+	port, ok := s.Route(p.Dst)
 	if !ok {
-		s.stats.noRoute.Add(1)
+		c.noRoute++
 		return Decision{Disposition: DropNoRoute, LoopReport: report}, nil
 	}
 	if !s.portUp[port] {
-		s.stats.linkDrops.Add(1)
+		c.linkDrops++
 		return Decision{Disposition: DropLink, LoopReport: report}, nil
 	}
-	s.stats.forwarded.Add(1)
+	c.forwarded++
 	return Decision{Disposition: Forward, Egress: port, LoopReport: report}, nil
 }
 
-// decodeTelemetry parses the packet's Unroller header, deriving the hop
-// counter from the TTL when the configuration elides it (footnote 3 of
-// the paper). TTL-derived counting requires packets injected with
-// InitialTTL; Process has already decremented the TTL for this hop, so
-// the pre-Visit hop count is InitialTTL − TTL − 1.
+// decodeTelemetry parses the packet's Unroller header into st, deriving
+// the hop counter from the TTL when the configuration elides it
+// (footnote 3 of the paper). TTL-derived counting requires packets
+// injected with InitialTTL; Process has already decremented the TTL for
+// this hop, so the pre-Visit hop count is InitialTTL − TTL − 1.
 //
 //unroller:allow errctx -- Process wraps every return as "dataplane: <switch>: %w"
-func (s *Switch) decodeTelemetry(p *Packet) (*core.State, error) {
-	st := s.states.get()
-	var err error
+func (s *Switch) decodeTelemetry(st *core.State, p *Packet) error {
 	switch {
-	case !s.unroller.Config().TTLHopCount:
-		err = s.unroller.DecodeHeaderInto(st, p.Telemetry)
+	case !s.ttlHops:
+		return s.unroller.DecodeHeaderInto(st, p.Telemetry)
 	case p.TTL >= InitialTTL:
-		err = fmt.Errorf("TTL %d inconsistent with TTL-derived hop counting (initial %d)", p.TTL, InitialTTL)
+		return fmt.Errorf("TTL %d inconsistent with TTL-derived hop counting (initial %d)", p.TTL, InitialTTL)
 	default:
-		err = s.unroller.DecodeHeaderAtInto(st, p.Telemetry, uint64(InitialTTL)-uint64(p.TTL)-1)
+		return s.unroller.DecodeHeaderAtInto(st, p.Telemetry, uint64(InitialTTL)-uint64(p.TTL)-1)
 	}
-	if err != nil {
-		s.states.put(st)
-		return nil, err
-	}
-	return st, nil
 }
 
 // reactToLoop applies the switch's loop policy to a packet on which the
 // Unroller logic just fired.
-func (s *Switch) reactToLoop(p *Packet, report *detect.Report) (Decision, error) {
+func (s *Switch) reactToLoop(p *Packet, report *detect.Report, c *hopCounts) (Decision, error) {
 	switch s.LoopPolicy {
 	case ActionReroute:
-		if bp, ok := s.backup[p.Dst]; ok && s.portUp[bp] {
+		if bp, ok := s.fib.get(p.Dst, s.fib.nodes+s.Node); ok && s.portUp[bp] {
 			// Deflect: reset the telemetry so the detector
-			// restarts on the new route.
-			fresh := s.unroller.NewPacketState()
-			tel, err := fresh.AppendHeader(nil)
-			if err != nil {
-				return Decision{}, err
-			}
-			p.Telemetry = tel
-			s.stats.reroutes.Add(1)
+			// restarts on the new route. The empty header is
+			// copied into the packet's own buffer, never aliased:
+			// the next hop rewrites it in place.
+			p.Telemetry = append(p.Telemetry[:0], s.emptyHeader...)
+			c.reroutes++
 			return Decision{Disposition: RerouteLoop, Egress: bp, LoopReport: report}, nil
 		}
 	case ActionCollect:
 		// Tag the packet for one recording lap (§3.5); it keeps
 		// following the looping FIB and returns here with the full
 		// membership.
-		if port, ok := s.fib[p.Dst]; ok && s.portUp[port] {
+		if port, ok := s.Route(p.Dst); ok && s.portUp[port] {
 			rec := collectRecord{Initiator: s.ID}
 			tel, err := rec.marshal()
 			if err != nil {
@@ -410,7 +484,7 @@ func (s *Switch) reactToLoop(p *Packet, report *detect.Report) (Decision, error)
 			}
 			p.Telemetry = tel
 			p.Flags |= FlagCollect
-			s.stats.forwarded.Add(1)
+			c.forwarded++
 			return Decision{Disposition: Forward, Egress: port, LoopReport: report}, nil
 		}
 	case ActionDrop:

@@ -19,7 +19,11 @@ func testSwitch(t *testing.T, cfg core.Config) *Switch {
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
 	}
-	return newSwitch(detect.SwitchID(0x11), 0, []int{1, 2}, u)
+	pl, err := newPipeline(u, 1)
+	if err != nil {
+		t.Fatalf("newPipeline: %v", err)
+	}
+	return newSwitch(detect.SwitchID(0x11), 0, []int{1, 2}, pl)
 }
 
 // TestProcessTruncatedTelemetry pins that a short Unroller header is
@@ -52,8 +56,9 @@ func TestDecodeInconsistentTTL(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AppendHeader: %v", err)
 	}
+	st := sw.unroller.NewPacketState()
 	p := &Packet{TTL: InitialTTL, Dst: detect.SwitchID(0x99), Telemetry: tel}
-	if _, err := sw.decodeTelemetry(p); err == nil {
+	if err := sw.decodeTelemetry(st, p); err == nil {
 		t.Fatal("decodeTelemetry accepted a post-decrement TTL of InitialTTL")
 	} else if !strings.Contains(err.Error(), "TTL") {
 		t.Fatalf("error %q does not name the TTL inconsistency", err)
@@ -61,8 +66,7 @@ func TestDecodeInconsistentTTL(t *testing.T) {
 
 	// A plausible TTL decodes fine and derives the right hop count.
 	p.TTL = InitialTTL - 3 // injected at 255, now entering hop 3
-	st, err := sw.decodeTelemetry(p)
-	if err != nil {
+	if err := sw.decodeTelemetry(st, p); err != nil {
 		t.Fatalf("decodeTelemetry: %v", err)
 	}
 	if st.Hops() != 2 {
