@@ -26,9 +26,12 @@
 #                 scenario through the framed TCP protocol, connection
 #                 kills, exact aggregate accounting), including the
 #                 seeded chaosnet gate (latency, fragmented writes,
-#                 mid-frame resets — accounting must stay exact) and the
-#                 in-package journal kill-recover property — the
-#                 service gate
+#                 mid-frame resets — accounting must stay exact), the
+#                 in-package journal kill-recover property, and the
+#                 connection-lifecycle tests (hello, rebind, bad frames,
+#                 reaping, heartbeats, client reconnects, ack fencing on
+#                 a failed journal, the scripted-session counter table)
+#                 — the service gate
 #   kill-recover  race-enabled run of the process-level crash test: a
 #                 journaled collectord SIGKILLed mid-ingest, restarted
 #                 on the same journal directory, final accounting shows
@@ -104,8 +107,8 @@ printf '%s\n' "$imports" | awk '
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> collector e2e under race (16 clients, kills, chaosnet, journal recovery, exact accounting)"
-go test -race -run 'TestCollector|TestRecovery' -count 1 ./internal/collectorsvc
+echo "==> collector e2e under race (16 clients, kills, chaosnet, journal recovery, connection lifecycle, exact accounting)"
+go test -race -run 'TestCollector|TestRecovery|TestServer|TestHello|TestClient|TestJournalFailure' -count 1 ./internal/collectorsvc
 
 echo "==> collectord kill-recover under race (SIGKILL mid-ingest, exactly-once across restart)"
 go test -race -run 'TestCollectordKillRecover' -count 1 ./cmd/unroller-collectord

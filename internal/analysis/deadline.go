@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -20,11 +21,14 @@ import (
 // writers constructed from a conn, including passing such a
 // reader/writer to a helper (ReadFrameBuffered(br) is a conn read). Arming
 // is tracked as a per-scope must-dominate dataflow: branches merge with
-// AND, loop bodies must arm before the I/O within the same iteration,
-// and each function literal starts un-armed (a closure cannot rely on
-// its creator having armed the conn at some earlier time — deadlines
+// AND, and each function literal starts un-armed (a closure cannot rely
+// on its creator having armed the conn at some earlier time — deadlines
 // are absolute points in time and must be re-armed near the I/O they
-// bound).
+// bound). For the same reason an arm made before a loop covers only its
+// first iteration: a loop body is entered in the pre-loop state AND the
+// state the body itself leaves on every path back to the loop head, so
+// I/O in a later iteration needs an arm inside the body — ahead of it in
+// the same iteration, or behind it on every path to the next one.
 var DeadlineAnalyzer = &Analyzer{
 	Name: "deadline",
 	Doc:  "require SetRead/SetWriteDeadline to dominate every conn read/write in collectorsvc",
@@ -139,6 +143,54 @@ type deadlineWalker struct {
 	pass  *Pass
 	conn  *types.Interface
 	taint map[types.Object]string
+	// quiet > 0 while a loop body is walked only to learn what it arms:
+	// findings are reported by the walk that starts from the true entry
+	// state.
+	quiet int
+	// continues collects the arm state at each unlabeled continue of the
+	// innermost loop body being walked.
+	continues *[]armState
+}
+
+// reportf reports a finding unless the walk is a quiet pre-pass.
+func (w *deadlineWalker) reportf(pos token.Pos, format string, args ...any) {
+	if w.quiet == 0 {
+		w.pass.Reportf(pos, format, args...)
+	}
+}
+
+// loopEntry is the arm state at the head of every iteration of a loop
+// entered in state pre: pre AND the state the body, started un-armed,
+// leaves on every path back to the loop head (falling off its end or
+// continuing). A deadline armed before the loop has passed by some
+// later iteration, so only the body's own arms carry around the back
+// edge. Labeled continues are not tracked; none target an outer loop
+// in the packages under this contract.
+func (w *deadlineWalker) loopEntry(body *ast.BlockStmt, pre *armState) *armState {
+	self := &armState{}
+	w.quiet++
+	backEdges, fellThrough := w.walkLoopBody(body, self)
+	w.quiet--
+	entry := pre.clone()
+	if fellThrough {
+		entry.and(self)
+	}
+	for i := range backEdges {
+		entry.and(&backEdges[i])
+	}
+	return entry
+}
+
+// walkLoopBody walks one iteration from st, returning the arm states at
+// the body's continues and whether it can fall off its end (st then
+// holds the end state).
+func (w *deadlineWalker) walkLoopBody(body *ast.BlockStmt, st *armState) ([]armState, bool) {
+	var continues []armState
+	outer := w.continues
+	w.continues = &continues
+	term := w.walkStmts(body.List, st)
+	w.continues = outer
+	return continues, !term
 }
 
 func (w *deadlineWalker) walkStmts(stmts []ast.Stmt, st *armState) bool {
@@ -158,6 +210,9 @@ func (w *deadlineWalker) walkStmt(stmt ast.Stmt, st *armState) bool {
 		}
 		return true
 	case *ast.BranchStmt:
+		if s.Tok == token.CONTINUE && s.Label == nil && w.continues != nil {
+			*w.continues = append(*w.continues, *st)
+		}
 		return true
 	case *ast.IfStmt:
 		if s.Init != nil {
@@ -186,17 +241,17 @@ func (w *deadlineWalker) walkStmt(stmt ast.Stmt, st *armState) bool {
 		if s.Init != nil {
 			w.walkStmt(s.Init, st)
 		}
+		// The condition runs at the head of every iteration.
+		entry := w.loopEntry(s.Body, st)
 		if s.Cond != nil {
-			w.scanExpr(s.Cond, st)
+			w.scanExpr(s.Cond, entry)
 		}
-		bodySt := st.clone()
-		w.walkStmts(s.Body.List, bodySt)
+		w.walkLoopBody(s.Body, entry)
 		// The loop may run zero times: whatever the body armed does not
 		// count downstream.
 	case *ast.RangeStmt:
 		w.scanExpr(s.X, st)
-		bodySt := st.clone()
-		w.walkStmts(s.Body.List, bodySt)
+		w.walkLoopBody(s.Body, w.loopEntry(s.Body, st))
 	case *ast.SelectStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt:
 		w.walkBranchBodies(stmt, st)
 	case *ast.BlockStmt:
@@ -305,12 +360,12 @@ func (w *deadlineWalker) scanCall(e ast.Expr, st *armState) {
 				return
 			case "Read":
 				if !st.read {
-					w.pass.Reportf(call.Pos(), "conn read not dominated by SetReadDeadline in this scope: a silent peer parks this goroutine forever")
+					w.reportf(call.Pos(), "conn read not dominated by SetReadDeadline in this scope: a silent peer parks this goroutine forever")
 				}
 				return
 			case "Write":
 				if !st.write {
-					w.pass.Reportf(call.Pos(), "conn write not dominated by SetWriteDeadline in this scope: a stalled peer parks this goroutine forever")
+					w.reportf(call.Pos(), "conn write not dominated by SetWriteDeadline in this scope: a stalled peer parks this goroutine forever")
 				}
 				return
 			}
@@ -323,7 +378,7 @@ func (w *deadlineWalker) scanCall(e ast.Expr, st *armState) {
 					switch sel.Sel.Name {
 					case "Read", "ReadByte", "ReadRune", "ReadString", "ReadBytes", "ReadSlice", "Peek", "Discard":
 						if !st.read {
-							w.pass.Reportf(call.Pos(), "read from conn-backed bufio.Reader %s not dominated by SetReadDeadline in this scope", id.Name)
+							w.reportf(call.Pos(), "read from conn-backed bufio.Reader %s not dominated by SetReadDeadline in this scope", id.Name)
 						}
 						return
 					}
@@ -331,7 +386,7 @@ func (w *deadlineWalker) scanCall(e ast.Expr, st *armState) {
 					switch sel.Sel.Name {
 					case "Write", "WriteByte", "WriteRune", "WriteString", "Flush", "ReadFrom":
 						if !st.write {
-							w.pass.Reportf(call.Pos(), "write to conn-backed bufio.Writer %s not dominated by SetWriteDeadline in this scope", id.Name)
+							w.reportf(call.Pos(), "write to conn-backed bufio.Writer %s not dominated by SetWriteDeadline in this scope", id.Name)
 						}
 						return
 					}
@@ -349,11 +404,11 @@ func (w *deadlineWalker) scanCall(e ast.Expr, st *armState) {
 		switch w.taint[identObject(w.pass, id)] {
 		case "reader":
 			if !st.read {
-				w.pass.Reportf(call.Pos(), "call passes conn-backed bufio.Reader %s without SetReadDeadline dominating it in this scope", id.Name)
+				w.reportf(call.Pos(), "call passes conn-backed bufio.Reader %s without SetReadDeadline dominating it in this scope", id.Name)
 			}
 		case "writer":
 			if !st.write {
-				w.pass.Reportf(call.Pos(), "call passes conn-backed bufio.Writer %s without SetWriteDeadline dominating it in this scope", id.Name)
+				w.reportf(call.Pos(), "call passes conn-backed bufio.Writer %s without SetWriteDeadline dominating it in this scope", id.Name)
 			}
 		}
 	}

@@ -105,3 +105,50 @@ func closureArmsItself(c net.Conn, buf []byte) func() {
 		c.Read(buf)
 	}
 }
+
+// armBeforeLoopOnly: a deadline is an absolute time, so an arm made
+// before the loop covers its first iteration only — the read of every
+// later iteration is unarmed.
+func armBeforeLoopOnly(c net.Conn, buf []byte) {
+	c.SetReadDeadline(time.Now().Add(time.Second))
+	for {
+		if _, err := c.Read(buf); err != nil { // want "conn read not dominated by SetReadDeadline"
+			return
+		}
+	}
+}
+
+// armBeforeRangeOnly is the same rule for a range loop.
+func armBeforeRangeOnly(c net.Conn, bufs [][]byte) {
+	c.SetWriteDeadline(time.Now().Add(time.Second))
+	for _, b := range bufs {
+		c.Write(b) // want "conn write not dominated by SetWriteDeadline"
+	}
+}
+
+// reArmAtEndOfBody: the pre-loop arm covers the first read, and the
+// body's own trailing arm covers every later one.
+func reArmAtEndOfBody(c net.Conn, buf []byte) {
+	c.SetReadDeadline(time.Now().Add(time.Second))
+	for {
+		if _, err := c.Read(buf); err != nil {
+			return
+		}
+		c.SetReadDeadline(time.Now().Add(time.Second))
+	}
+}
+
+// continueSkipsReArm: the continue path reaches the next iteration
+// without the trailing arm.
+func continueSkipsReArm(c net.Conn, buf []byte, skip func() bool) {
+	c.SetReadDeadline(time.Now().Add(time.Second))
+	for {
+		if _, err := c.Read(buf); err != nil { // want "conn read not dominated by SetReadDeadline"
+			return
+		}
+		if skip() {
+			continue
+		}
+		c.SetReadDeadline(time.Now().Add(time.Second))
+	}
+}

@@ -523,14 +523,14 @@ func TestRecoveryWorkerCountInvariant(t *testing.T) {
 // are evicted before any loop report is — losing a clock edge is
 // recoverable, losing the report the pipeline exists to deliver is not.
 func TestShardShedsTicksBeforeReports(t *testing.T) {
-	sh := newShard(dataplane.ControllerConfig{}, 4, DefaultMaxFlows)
+	sh := newShard(dataplane.ControllerConfig{}, 4, maxShardFlows)
 	// No worker: the queue can only shed. Fill with tick, reports...
-	sh.push(shardItem{tick: true})
+	sh.pushBatch([]shardItem{{tick: true}})
 	for i := 0; i < 3; i++ {
-		sh.push(shardItem{ev: dataplane.LoopEvent{Flow: uint32(i + 1)}})
+		sh.pushBatch([]shardItem{{ev: dataplane.LoopEvent{Flow: uint32(i + 1)}}})
 	}
 	// Overflow with a report: the tick must go, not the oldest report.
-	sh.push(shardItem{ev: dataplane.LoopEvent{Flow: 99}})
+	sh.pushBatch([]shardItem{{ev: dataplane.LoopEvent{Flow: 99}}})
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.sheddedTicks != 1 || sh.dropped != 1 {

@@ -399,14 +399,15 @@ func (c *Client) isAborted() bool {
 }
 
 // stream runs one connection: hello, retransmit the in-flight window,
-// then batch unsent items until the connection breaks or draining
-// completes. A reader goroutine consumes acks concurrently; its read
-// deadline is the staleness detector (a healthy session always has ack
-// traffic within StaleTimeout, because an idle stream sends heartbeats
-// and every heartbeat elicits an ack). All writes are deadline-armed.
+// then heartbeats and batches of unsent items until the connection
+// breaks or draining completes. Every write takes one path: encode,
+// arm the write deadline, write and flush, re-arm the heartbeat timer.
+// A reader goroutine consumes acks concurrently; its read deadline is
+// the staleness detector (a healthy session always has ack traffic
+// within StaleTimeout, because an idle stream sends heartbeats and every
+// heartbeat elicits an ack).
 func (c *Client) stream(conn net.Conn) {
 	bw := bufio.NewWriterSize(conn, 1<<15)
-	buf := make([]byte, 0, 1<<12)
 
 	readerDone := make(chan struct{})
 	go func() {
@@ -434,7 +435,7 @@ func (c *Client) stream(conn net.Conn) {
 
 	// The heartbeat timer wakes the batch loop instead of writing
 	// itself: one goroutine owns all writes, so frames never interleave
-	// mid-buffer. It re-arms after every flush — heartbeats fill write
+	// mid-buffer. It re-arms after every write — heartbeats fill write
 	// silence, they don't add to a busy stream.
 	hbTimer := time.AfterFunc(c.cfg.HeartbeatEvery, func() {
 		c.mu.Lock()
@@ -443,89 +444,60 @@ func (c *Client) stream(conn net.Conn) {
 		c.cond.Broadcast()
 	})
 	defer hbTimer.Stop()
+
+	// The first write is the hello followed by the in-flight window:
+	// frames sent on the previous connection whose acks never arrived.
+	// The server discards the already-accounted prefix by sequence number.
 	c.mu.Lock()
 	c.hbDue = false
+	frames := append(make([]Frame, 0, c.cfg.Batch), c.inflight...)
+	c.stats.Retransmits += uint64(len(frames))
 	c.mu.Unlock()
-
-	conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-	buf = AppendHello(buf[:0], c.cfg.ID)
-	if _, err := bw.Write(buf); err != nil {
-		return
-	}
-
-	// Retransmit the in-flight window (frames sent on the previous
-	// connection whose acks never arrived). The server discards the
-	// already-accounted prefix by sequence number. The whole window is
-	// encoded into one buffer and written in one deadline-armed call —
-	// the same coalescing the batch loop below uses.
-	c.mu.Lock()
-	resend := append([]Frame(nil), c.inflight...)
-	c.stats.Retransmits += uint64(len(resend))
-	c.mu.Unlock()
-	var err error
-	buf = buf[:0]
-	for i := range resend {
-		if buf, err = appendFrame(buf, &resend[i]); err != nil {
+	buf := AppendHello(make([]byte, 0, 1<<12), c.cfg.ID)
+	for ok := true; ok; buf, frames, ok = c.nextWrite(buf[:0], frames[:0]) {
+		// A whole batch is encoded into one buffer and written with one
+		// deadline arm: the connection's write-path syscalls and deadline
+		// churn scale with batches, not frames.
+		var err error
+		for i := range frames {
+			if buf, err = appendFrame(buf, &frames[i]); err != nil {
+				return
+			}
+		}
+		conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
+		if _, err = bw.Write(buf); err != nil {
 			return
 		}
-	}
-	conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-	if _, err = bw.Write(buf); err != nil {
-		return
-	}
-	conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-	if err = bw.Flush(); err != nil {
-		return
-	}
-	hbTimer.Reset(c.cfg.HeartbeatEvery)
-
-	batch := make([]Frame, 0, c.cfg.Batch)
-	for {
-		batch = batch[:0]
-		heartbeat := false
-		c.mu.Lock()
-		for {
-			if c.aborted || c.broken {
-				c.mu.Unlock()
-				return
-			}
-			if c.cutover && len(c.inflight) == 0 {
-				// Drain cutover complete: every sent frame is acked at
-				// this owner, so the stream can move with zero overlap.
-				// The run loop's top adopts the pending address.
-				c.mu.Unlock()
-				return
-			}
-			if c.hbDue {
-				c.hbDue = false
-				heartbeat = true
-				break
-			}
-			if len(c.unsent) > 0 && len(c.inflight) < c.cfg.Window && !c.cutover {
-				break
-			}
-			if c.closing && len(c.unsent) == 0 && len(c.inflight) == 0 {
-				c.mu.Unlock()
-				conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-				if err := bw.Flush(); err != nil {
-					// Surface the failure like every other flush site: mark
-					// the connection broken and return to the run loop (the
-					// reconnect path) instead of pretending the buffered
-					// bytes went out. Everything enqueued is already
-					// acknowledged here, so the loop exits once it confirms
-					// that — but it must not exit *believing* a write
-					// succeeded that didn't.
-					c.mu.Lock()
-					c.broken = true
-					c.mu.Unlock()
-				}
-				return
-			}
-			// Idle, window-full, or drain-waiting-for-acks: sleep until
-			// enqueue/ack/heartbeat/close wakes us.
-			c.cond.Wait()
+		if err = bw.Flush(); err != nil {
+			return
 		}
-		if !heartbeat {
+		hbTimer.Reset(c.cfg.HeartbeatEvery)
+	}
+}
+
+// nextWrite blocks until the stream owes a write and returns it: a
+// heartbeat carrying the highest sent sequence number, appended to buf,
+// or a batch of unsent frames, appended to batch after being sequenced
+// and moved into the in-flight window. ok is false when the stream must
+// end instead: the connection broke, the sender aborted, a drain
+// cutover completed, or a closing sender has nothing left
+// unacknowledged.
+func (c *Client) nextWrite(buf []byte, batch []Frame) (_ []byte, _ []Frame, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		switch {
+		case c.aborted || c.broken:
+			return buf, batch, false
+		case c.cutover && len(c.inflight) == 0:
+			// Drain cutover complete: every sent frame is acked at this
+			// owner, so the stream can move with zero overlap. The run
+			// loop's top adopts the pending address.
+			return buf, batch, false
+		case c.hbDue:
+			c.hbDue = false
+			return AppendHeartbeat(buf, c.nextSeq), batch, true
+		case len(c.unsent) > 0 && len(c.inflight) < c.cfg.Window && !c.cutover:
 			for len(c.unsent) > 0 && len(batch) < c.cfg.Batch && len(c.inflight) < c.cfg.Window {
 				f := c.unsent[0]
 				c.unsent = c.unsent[1:]
@@ -534,40 +506,15 @@ func (c *Client) stream(conn net.Conn) {
 				c.inflight = append(c.inflight, f)
 				batch = append(batch, f)
 			}
+			return buf, batch, true
+		case c.closing && len(c.unsent) == 0 && len(c.inflight) == 0:
+			// Drained: every write was flushed when it was made, so
+			// nothing is left buffered on the connection.
+			return buf, batch, false
 		}
-		seq := c.nextSeq
-		c.mu.Unlock()
-
-		if heartbeat {
-			conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-			buf = AppendHeartbeat(buf[:0], seq)
-			if _, err = bw.Write(buf); err != nil {
-				return
-			}
-			if err = bw.Flush(); err != nil {
-				return
-			}
-			hbTimer.Reset(c.cfg.HeartbeatEvery)
-			continue
-		}
-		// Encode the whole batch into one buffer and write it with one
-		// deadline arm: the connection's write-path syscalls and deadline
-		// churn scale with batches, not frames.
-		buf = buf[:0]
-		for i := range batch {
-			if buf, err = appendFrame(buf, &batch[i]); err != nil {
-				return
-			}
-		}
-		conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-		if _, err = bw.Write(buf); err != nil {
-			return
-		}
-		conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-		if err = bw.Flush(); err != nil {
-			return
-		}
-		hbTimer.Reset(c.cfg.HeartbeatEvery)
+		// Idle, window-full, or drain-waiting-for-acks: sleep until
+		// enqueue/ack/heartbeat/close wakes us.
+		c.cond.Wait()
 	}
 }
 

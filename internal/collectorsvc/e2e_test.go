@@ -7,6 +7,7 @@ import (
 	"github.com/unroller/unroller/internal/dataplane"
 	"github.com/unroller/unroller/internal/detect"
 	"github.com/unroller/unroller/internal/scenario"
+	"github.com/unroller/unroller/internal/xrand"
 )
 
 // microloopController mirrors the microloop scenario's controller
@@ -215,11 +216,11 @@ func TestCollectorSurvivesConnectionKills(t *testing.T) {
 // a stalled worker must shed load via drop-oldest and count every
 // eviction, never blocking the reader.
 func TestCollectorBackpressureDropsAreCounted(t *testing.T) {
-	sh := newShard(dataplane.ControllerConfig{}, 4, DefaultMaxFlows)
+	sh := newShard(dataplane.ControllerConfig{}, 4, maxShardFlows)
 	// No worker goroutine: the queue can only shed by dropping.
 	const n = 100
 	for i := 0; i < n; i++ {
-		sh.push(shardItem{ev: dataplane.LoopEvent{Flow: uint32(i)}})
+		sh.pushBatch([]shardItem{{ev: dataplane.LoopEvent{Flow: uint32(i)}}})
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -235,6 +236,75 @@ func TestCollectorBackpressureDropsAreCounted(t *testing.T) {
 		if want := uint32(n - 4 + i); got != want {
 			t.Errorf("slot %d: flow %d, want %d", i, got, want)
 		}
+	}
+}
+
+// TestShardFlowMapBoundCountsEvictions pins the bounded dedup map
+// (DESIGN §8): when a report for a new flow finds the map at its bound,
+// the map is cleared and the clear is counted. Eviction trades memory
+// for duplicate admissions, never for loss — an evicted flow's next
+// report may be accepted where an unbounded map would have deduped it,
+// but every pushed report is still delivered.
+func TestShardFlowMapBoundCountsEvictions(t *testing.T) {
+	const (
+		reports  = 2000
+		flows    = 64
+		maxFlows = 16
+	)
+	rng := xrand.New(11)
+	items := make([]shardItem, reports)
+	for i := range items {
+		items[i] = shardItem{
+			ev: dataplane.LoopEvent{
+				Report: detect.Report{Reporter: detect.SwitchID(rng.Uint64n(4)), Hops: 2},
+				Flow:   uint32(rng.Uint64n(flows)),
+			},
+			hop: 2, // every repeat of a (flow, reporter) pair is in-window
+		}
+	}
+	// The eviction policy, replayed: clear on a new flow at the bound.
+	var wantEvictions uint64
+	seen := make(map[uint32]bool)
+	for _, it := range items {
+		if !seen[it.ev.Flow] {
+			if len(seen) >= maxFlows {
+				seen = make(map[uint32]bool)
+				wantEvictions++
+			}
+			seen[it.ev.Flow] = true
+		}
+	}
+	drain := func(maxFlows int) *shard {
+		sh := newShard(dataplane.ControllerConfig{DedupWindow: 8}, reports, maxFlows)
+		done := make(chan struct{})
+		go func() { sh.run(); close(done) }()
+		sh.pushBatch(items)
+		sh.mu.Lock()
+		sh.closed = true
+		sh.mu.Unlock()
+		sh.cond.Broadcast()
+		<-done
+		return sh
+	}
+	bounded, unbounded := drain(maxFlows), drain(reports)
+
+	if got := bounded.evictions.Load(); got != wantEvictions || got == 0 {
+		t.Errorf("flow evictions = %d, want %d (> 0)", got, wantEvictions)
+	}
+	if got := unbounded.evictions.Load(); got != 0 {
+		t.Errorf("unbounded shard evicted %d times", got)
+	}
+	b, u := bounded.ctrl.Stats(), unbounded.ctrl.Stats()
+	for name, st := range map[string]dataplane.ControllerStats{"bounded": b, "unbounded": u} {
+		if st.Delivered != reports || st.Accepted+st.Deduped != st.Delivered {
+			t.Errorf("%s: delivered %d (accepted %d + deduped %d), want all %d reports delivered",
+				name, st.Delivered, st.Accepted, st.Deduped, reports)
+		}
+	}
+	// Every (flow, reporter) pair is admitted once without eviction; the
+	// bound re-admits pairs whose window it cleared.
+	if b.Accepted <= u.Accepted {
+		t.Errorf("bounded accepted %d, unbounded %d: eviction should re-admit deduped reports", b.Accepted, u.Accepted)
 	}
 }
 

@@ -7,7 +7,7 @@ package collectorsvc
 // that cut at boot and then re-delivers every record journaled after
 // it. Both sides are deliberately single-threaded and shard-count
 // agnostic: the snapshot keys dedup state by flow, not by shard, and
-// replay re-routes each flow through shardFor, so a recovered server
+// replay re-routes each record through route, so a recovered server
 // may run a different -shards value than the one that crashed.
 
 import (
@@ -39,7 +39,7 @@ func (s *Server) rotateWithSnapshotLocked(j *Journal) {
 		resume:  make(chan struct{}),
 	}
 	for _, sh := range s.shards {
-		sh.push(shardItem{barrier: b})
+		sh.pushBatch([]shardItem{{barrier: b}})
 	}
 	for range s.shards {
 		//unroller:allow lockscope -- the barrier receive under s.mu IS the quiescence protocol: workers always drain it (Shutdown cannot stop them before this reader returns), and holding s.mu is what freezes the snapshot
@@ -154,8 +154,9 @@ func (st *StagedRecovery) Server() *Server { return st.srv }
 func (st *StagedRecovery) Staged() int { return len(st.staged) }
 
 // Commit finishes the recovery. Every staged record either commits —
-// accounted, counted, and delivered single-threaded in journal order
-// through the same per-flow dedup path as live ingest — or, when
+// accounted, counted, routed to its shards as live ingest routes it, and
+// delivered single-threaded through the shard's one delivery path
+// (shard.dispatch), each shard in journal order — or, when
 // discard reports a peer already ingested it, is dropped and counted in
 // CrossDupes. A discarded record's sequence number deliberately stays
 // un-accounted (neither the high-water mark nor the span list moves),
@@ -167,6 +168,7 @@ func (st *StagedRecovery) Staged() int { return len(st.staged) }
 // leaves the recovering health state before returning.
 func (st *StagedRecovery) Commit(discard func(clientID, seq uint64) bool) (*Server, RecoveryStats, error) {
 	s := st.srv
+	groups := make([][]shardItem, len(s.shards))
 	for i := range st.staged {
 		rec := &st.staged[i]
 		f := &rec.frame
@@ -183,13 +185,14 @@ func (st *StagedRecovery) Commit(discard func(clientID, seq uint64) bool) (*Serv
 		}
 		if f.Type == FrameTick {
 			s.ticks.Add(1)
-			for _, sh := range s.shards {
-				sh.ctrl.Tick()
-			}
-			continue
+		} else {
+			s.ingested.Add(1)
 		}
-		s.ingested.Add(1)
-		s.shardFor(f.Event.Flow).deliver(f.Event, f.Hop)
+		s.route(groups, f)
+	}
+	var fds []dataplane.FlowDelivery
+	for i, sh := range s.shards {
+		fds = sh.dispatch(groups[i], fds)
 	}
 	st.staged = nil
 	jst := s.journal.Stats()

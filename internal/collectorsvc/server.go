@@ -32,13 +32,6 @@ type ServerConfig struct {
 	// configs are identical, so merged stats preserve the admission
 	// identities exactly.
 	Controller dataplane.ControllerConfig
-	// MaxFlows bounds each shard's per-flow dedup map. When the bound is
-	// hit the map is cleared (counted in ServerStats.FlowEvictions): a
-	// report for an evicted flow may then be accepted where a single
-	// unbounded controller would have deduplicated it — bounded memory
-	// is bought with (counted) duplicate admissions, never with loss.
-	// <= 0 selects DefaultMaxFlows.
-	MaxFlows int
 	// AckEvery acknowledges after this many accounted frames even if the
 	// connection stays busy; an ack is always flushed when the reader
 	// goes idle at a batch boundary. <= 0 selects DefaultAckEvery.
@@ -79,13 +72,20 @@ type ServerConfig struct {
 const (
 	DefaultShards       = 4
 	DefaultQueueDepth   = 1024
-	DefaultMaxFlows     = 1 << 16
 	DefaultAckEvery     = 64
 	DefaultBatch        = 256
 	DefaultReadTimeout  = 30 * time.Second
 	DefaultWriteTimeout = 10 * time.Second
 	DefaultMaxConns     = 256
 )
+
+// maxShardFlows bounds each shard's per-flow dedup map. When a report
+// for a new flow finds the map full, the map is cleared (counted in
+// ServerStats.FlowEvictions): a report for an evicted flow may then be
+// accepted where a single unbounded controller would have deduplicated
+// it — bounded memory is bought with (counted) duplicate admissions,
+// never with loss.
+const maxShardFlows = 1 << 16
 
 // ServerStats is a snapshot of the service-level counters (the
 // controller-level counters live in the per-shard ControllerStats).
@@ -338,23 +338,15 @@ func newShard(ctrlCfg dataplane.ControllerConfig, depth, maxFlows int) *shard {
 	return sh
 }
 
-// push enqueues it, evicting a queued item when full. It never blocks:
-// the connection reader must keep draining its socket no matter how far
-// behind the shard worker is. Overload shedding prefers evicting a
-// queued tick (the controller clock advancing late is recoverable;
-// a lost loop report is the one thing the paper's pipeline exists to
-// deliver); only when no tick is queued does it drop the oldest report.
-func (sh *shard) push(it shardItem) {
-	sh.mu.Lock()
-	sh.pushLocked(it)
-	sh.mu.Unlock()
-	sh.cond.Signal()
-}
-
-// pushBatch enqueues a slice of items with one lock acquisition and one
-// worker wakeup — the batched hand-off the connection readers use so
-// queue-lock traffic scales with batches, not frames. Eviction
-// semantics per item are identical to push.
+// pushBatch enqueues items in order with one lock acquisition and one
+// worker wakeup, so queue-lock traffic scales with batches, not frames.
+// It never blocks: the connection reader must keep draining its socket
+// no matter how far behind the shard worker is, so each item pushed
+// into a full queue evicts a queued one. Overload shedding prefers
+// evicting a queued tick (the controller clock advancing late is
+// recoverable; a lost loop report is the one thing the paper's pipeline
+// exists to deliver); only when no tick is queued does it drop the
+// oldest report.
 func (sh *shard) pushBatch(items []shardItem) {
 	if len(items) == 0 {
 		return
@@ -430,50 +422,57 @@ func (sh *shard) popBatch(dst []shardItem) ([]shardItem, bool) {
 // acquisition (and per controller-lock acquisition for a report run).
 const shardDrainBatch = 256
 
-// run is the shard worker: it drains the queue into the controller,
-// replaying each report through the same per-flow dedup path the
-// in-process data plane uses, so the admission totals match a single
-// local controller exactly (for quarantine-free configs; see DESIGN §8
-// for why per-reporter quarantine is a per-shard property). Draining is
-// batched end to end: one queue-lock acquisition pops up to
-// shardDrainBatch items, and each run of consecutive reports between
-// ticks/barriers is delivered under one controller-lock acquisition.
-// Delivery order — and therefore every admission decision — is
-// identical to popping one item at a time.
+// run is the shard worker: it drains the queue into the controller, one
+// queue-lock acquisition per popped batch of up to shardDrainBatch
+// items, each batch delivered by dispatch.
 func (sh *shard) run() {
 	buf := make([]shardItem, 0, shardDrainBatch)
 	fds := make([]dataplane.FlowDelivery, 0, shardDrainBatch)
 	for {
 		var ok bool
-		buf, ok = sh.popBatch(buf[:0])
-		if !ok {
+		if buf, ok = sh.popBatch(buf[:0]); !ok {
 			return
 		}
-		fds = fds[:0]
-		flush := func() {
-			if len(fds) > 0 {
-				sh.ctrl.DeliverFlowBatch(fds)
-				fds = fds[:0]
-			}
-		}
-		for i := range buf {
-			it := &buf[i]
-			if it.barrier != nil {
-				flush()
-				it.barrier.reached <- struct{}{}
-				<-it.barrier.resume
-				continue
-			}
-			if it.tick {
-				flush()
-				sh.ctrl.Tick()
-				continue
-			}
-			fds = append(fds, dataplane.FlowDelivery{Ev: it.ev, W: sh.window(it.ev.Flow), Hop: it.hop})
-			buf[i] = shardItem{} // release the event's member slice
-		}
-		flush()
+		fds = sh.dispatch(buf, fds)
 	}
+}
+
+// dispatch delivers items to the shard's controller in order — the one
+// delivery path, for the worker's live queue and for journal replay
+// alike. Each report goes through the same per-flow dedup path the
+// in-process data plane uses, so the admission totals match a single
+// local controller exactly (for quarantine-free configs; see DESIGN §8
+// for why per-reporter quarantine is a per-shard property). Each run of
+// consecutive reports between ticks and barriers is delivered under one
+// controller-lock acquisition; delivery order — and therefore every
+// admission decision — is identical to delivering one item at a time,
+// because windows are resolved in item order either way. fds is scratch,
+// returned for reuse; delivered reports are cleared from items so the
+// caller's buffer does not pin their member slices.
+func (sh *shard) dispatch(items []shardItem, fds []dataplane.FlowDelivery) []dataplane.FlowDelivery {
+	fds = fds[:0]
+	for i := range items {
+		it := &items[i]
+		if it.barrier == nil && !it.tick {
+			fds = append(fds, dataplane.FlowDelivery{Ev: it.ev, W: sh.window(it.ev.Flow), Hop: it.hop})
+			*it = shardItem{}
+			continue
+		}
+		if len(fds) > 0 {
+			sh.ctrl.DeliverFlowBatch(fds)
+			fds = fds[:0]
+		}
+		if it.tick {
+			sh.ctrl.Tick()
+			continue
+		}
+		it.barrier.reached <- struct{}{}
+		<-it.barrier.resume
+	}
+	if len(fds) > 0 {
+		sh.ctrl.DeliverFlowBatch(fds)
+	}
+	return fds[:0]
 }
 
 // window returns (creating if needed) the flow's dedup window, applying
@@ -489,14 +488,6 @@ func (sh *shard) window(flow uint32) *dataplane.DedupWindow {
 		sh.flows[flow] = w
 	}
 	return w
-}
-
-// deliver runs one report through the per-flow dedup path into the
-// controller — called directly (and single-threaded) by journal replay
-// so recovery is worker-count invariant: replay resolves windows and
-// delivers in exactly the order the live batched worker would.
-func (sh *shard) deliver(ev dataplane.LoopEvent, hop int) {
-	sh.ctrl.DeliverFlow(ev, sh.window(ev.Flow), hop)
 }
 
 // NewServer returns an idle server; call Serve or Start to run it.
@@ -530,9 +521,6 @@ func buildServer(cfg ServerConfig) *Server {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = DefaultQueueDepth
 	}
-	if cfg.MaxFlows <= 0 {
-		cfg.MaxFlows = DefaultMaxFlows
-	}
 	if cfg.AckEvery <= 0 {
 		cfg.AckEvery = DefaultAckEvery
 	}
@@ -556,7 +544,7 @@ func buildServer(cfg ServerConfig) *Server {
 		serveEnded: make(chan struct{}),
 	}
 	for i := 0; i < cfg.Shards; i++ {
-		s.shards = append(s.shards, newShard(cfg.Controller, cfg.QueueDepth, cfg.MaxFlows))
+		s.shards = append(s.shards, newShard(cfg.Controller, cfg.QueueDepth, maxShardFlows))
 	}
 	return s
 }
@@ -642,20 +630,25 @@ func (s *Server) shardFor(flow uint32) *shard {
 	return s.shards[s.shardIndex(flow)]
 }
 
-// handle is the per-connection reader: hello, then a stream of report
-// and tick frames, acknowledged in batches. Any decode error kills the
-// connection (the client reconnects and retransmits unacknowledged
-// frames; sequence accounting absorbs the overlap). Every read and
-// write is deadline-armed: a peer that goes silent for ReadTimeout or
-// stops reading acks for WriteTimeout is reaped instead of parking this
-// goroutine and its buffers forever.
+// handle is the per-connection reader: one loop over batches of frames,
+// each read, ingested, committed and acknowledged by the stages below.
+// The first frame must be a hello, which binds the connection to a
+// client identity; after it come report, tick and heartbeat frames. Any
+// decode error kills the connection (the client reconnects and
+// retransmits unacknowledged frames; sequence accounting absorbs the
+// overlap). Every read and write is deadline-armed: a peer that goes
+// silent for ReadTimeout or stops reading acks for WriteTimeout is
+// reaped instead of parking this goroutine and its buffers forever.
 //
 // Reads are coalesced: one blocking read is followed by a drain of
 // every complete frame the socket already delivered (frames are decoded
 // in place from the 32 KiB read buffer, never copied out), so the
-// syscall count scales with batches. The decoded batch is then
-// accounted, journaled, and handed to the shard queues as one unit by
-// ingestBatch, and one ack — covered by one journal Commit — closes it.
+// syscall count scales with batches. The batch is then accounted,
+// journaled, and handed to the shard queues as one unit by ingestBatch,
+// and one ack — covered by one journal Commit — closes it. Every way a
+// session ends (hang-up, bad frame, failed commit or ack) leaves the
+// loop at the same point, after the batch in hand was ingested and, when
+// possible, acknowledged.
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -666,145 +659,161 @@ func (s *Server) handle(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, frameReaderSize)
 	bw := bufio.NewWriterSize(conn, 1<<10)
 	ackBuf := make([]byte, 0, lenPrefixSize+frameOverhead+seqBodyLen)
-
-	// A peer that connects and disappears before its hello is read —
-	// a port probe, a half-open casualty, or a clean client racing
-	// Shutdown — is not a protocol violation; only malformed bytes or
-	// a well-formed non-hello frame count against badFrames, the same
-	// policy the mid-stream loop applies.
-	conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-	f, err := ReadFrameBuffered(br)
-	if err != nil {
-		if isWireError(err) {
-			s.badFrames.Add(1)
-		}
-		return
-	}
-	if f.Type != FrameHello {
-		s.badFrames.Add(1)
-		return
-	}
-	cs := s.clientState(f.ClientID)
-	clientID := f.ClientID
-
-	var lastSeen, lastAcked uint64
-	pending := 0
-	force := false
-	flushAck := func() bool {
-		if pending == 0 && lastSeen == lastAcked && !force {
-			return true
-		}
-		// Nothing is acknowledged before the journal has flushed it to
-		// the OS (and synced it, under FsyncAlways) — the ack is the
-		// client's licence to forget, so it must not outrun durability.
-		if s.journal != nil {
-			s.journal.Commit()
-			if s.journal.Failed() {
-				// The commit could not make the batch durable: withhold
-				// the ack and kill the connection, so the client keeps
-				// retransmitting instead of forgetting frames that never
-				// reached the journal. /healthz turns unready on the same
-				// flag (Server.Healthy), which is the operator's signal.
-				return false
-			}
-		}
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		var err error
-		if ackBuf, err = writeAck(bw, ackBuf, lastSeen); err != nil {
-			return false
-		}
-		lastAcked = lastSeen
-		pending = 0
-		force = false
-		return true
-	}
-
-	batch := make([]Frame, 0, s.cfg.Batch)
-	groups := make([][]shardItem, len(s.shards))
-	ingest := func() {
-		if len(batch) > 0 {
-			s.ingestBatch(cs, clientID, batch, groups)
-			batch = batch[:0]
-		}
-	}
-
+	c := &session{s: s, batch: make([]Frame, 0, s.cfg.Batch), groups: make([][]shardItem, len(s.shards))}
 	for {
 		// The deadline re-arms per blocking read, so it bounds
-		// inter-frame silence, not connection lifetime; the drained
-		// frames below are already buffered and never touch the socket.
+		// inter-frame silence, not connection lifetime.
 		conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		f, err = ReadFrameBuffered(br)
+		f, err := ReadFrameBuffered(br)
+		for err == nil && c.take(f) && frameBuffered(br) { //unroller:allow deadline -- a drained frame is already whole in br's buffer: neither this check nor the read below can block on the socket
+			f, err = ReadFrameBuffered(br)
+		}
 		if err != nil {
-			if isWireError(err) {
-				s.badFrames.Add(1)
-			}
-			flushAck()
-			return
+			// Only frame-format errors are violations: a peer that
+			// vanishes — mid-frame, or before its hello (a port probe, a
+			// half-open casualty, a clean client racing Shutdown) — is a
+			// connection failure.
+			c.end(isWireError(err))
 		}
-		frames := uint64(1)
-	drain:
-		for {
-			switch f.Type {
-			case FrameReport, FrameTick:
-				if f.Seq > lastSeen {
-					lastSeen = f.Seq
+		c.ingest()
+		if c.ackDue(br.Buffered() == 0) {
+			// Nothing is acknowledged before the journal has flushed it
+			// to the OS (and synced it, under FsyncAlways) — the ack is
+			// the client's licence to forget, so it must not outrun
+			// durability. A failed commit withholds the ack and kills the
+			// connection, so the client keeps retransmitting instead of
+			// forgetting frames that never reached the journal; /healthz
+			// turns unready on the same flag (Server.Healthy).
+			if s.journal != nil {
+				s.journal.Commit()
+				if s.journal.Failed() {
+					break
 				}
-				batch = append(batch, f)
-				pending++
-			case FrameHeartbeat:
-				// Not sequence-accounted; answer with the current
-				// high-water mark so an idle session has ack traffic
-				// inside the client's staleness window.
-				force = true
-			case FrameHello:
-				// A repeated hello with the same identity is a harmless
-				// keep of the binding. A *different* identity rebinds the
-				// connection: the old client's frames are ingested and
-				// acknowledged first, then the ack state resets — lastSeen
-				// and lastAcked are per-client sequence numbers, and
-				// carrying them across the rebind would acknowledge
-				// sequences the new client never sent.
-				if f.ClientID != clientID {
-					ingest()
-					if !flushAck() {
-						s.frames.Add(frames)
-						return
-					}
-					cs = s.clientState(f.ClientID)
-					clientID = f.ClientID
-					lastSeen, lastAcked, pending = 0, 0, 0
-				}
-			default:
-				s.badFrames.Add(1)
-				s.frames.Add(frames)
-				ingest()
-				flushAck()
-				return
 			}
-			if len(batch) >= s.cfg.Batch || !frameBuffered(br) {
-				break drain
+			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+			if ackBuf, err = writeAck(bw, ackBuf, c.lastSeen); err != nil {
+				break
 			}
-			if f, err = ReadFrameBuffered(br); err != nil {
-				// The frame was fully buffered, so this is a frame-format
-				// error, not a transport one.
-				s.badFrames.Add(1)
-				s.frames.Add(frames)
-				ingest()
-				flushAck()
-				return
-			}
-			frames++
+			c.lastAcked, c.pending, c.force = c.lastSeen, 0, false
 		}
-		s.frames.Add(frames)
-		ingest()
-		// Acknowledge at batch boundaries (socket idle) or once at least
-		// AckEvery frames are pending, whichever comes first.
-		if pending >= s.cfg.AckEvery || br.Buffered() == 0 {
-			if !flushAck() {
-				return
-			}
+		if c.closing {
+			break
+		}
+		if c.rebinding {
+			c.bind(c.rebindID)
 		}
 	}
+}
+
+// session is one connection's ingest state between socket reads; handle
+// owns the socket, and the session's stages never touch it.
+type session struct {
+	s *Server
+	// cs and id are the bound client (cs is nil until the hello); batch
+	// holds the report and tick frames read since the last ingest, and
+	// groups is ingestBatch's reusable per-shard staging area.
+	cs     *clientSeq
+	id     uint64
+	batch  []Frame
+	groups [][]shardItem
+	// frames counts frames read since the last ingest, bar the hello
+	// that bound the connection (ServerStats.Frames).
+	frames uint64
+	// The ack fence: the highest seq read and acknowledged, the report
+	// and tick frames since the last ack, and a heartbeat's demand for
+	// an ack with nothing new.
+	lastSeen, lastAcked uint64
+	pending             int
+	force               bool
+	// rebinding ends the batch at a hello naming another client, which
+	// the connection binds to (rebindID) once the old client's frames
+	// are ingested and acknowledged; closing ends the connection there.
+	rebinding bool
+	rebindID  uint64
+	closing   bool
+}
+
+// take adds one frame to the batch, reporting whether the batch may go
+// on reading: a batch ends when it is full, at a rebinding hello, and at
+// a frame the connection may not send — anything but a hello first, or
+// an ack.
+func (c *session) take(f Frame) bool {
+	if c.cs == nil {
+		if f.Type != FrameHello {
+			return c.end(true)
+		}
+		c.bind(f.ClientID)
+		return true
+	}
+	c.frames++
+	switch f.Type {
+	case FrameReport, FrameTick:
+		if f.Seq > c.lastSeen {
+			c.lastSeen = f.Seq
+		}
+		c.batch = append(c.batch, f)
+		c.pending++
+		return len(c.batch) < c.s.cfg.Batch
+	case FrameHeartbeat:
+		// Not sequence-accounted; answer with the current high-water
+		// mark so an idle session has ack traffic inside the client's
+		// staleness window.
+		c.force = true
+	case FrameHello:
+		// A repeated hello with the same identity is a harmless keep of
+		// the binding. A different identity rebinds the connection.
+		if f.ClientID != c.id {
+			c.rebinding, c.rebindID = true, f.ClientID
+			return false
+		}
+	default:
+		return c.end(true)
+	}
+	return true
+}
+
+// end closes the session after the batch in hand, counting a protocol
+// violation as a bad frame, and reports false: the batch reads no more.
+func (c *session) end(violation bool) bool {
+	if violation {
+		c.s.badFrames.Add(1)
+	}
+	c.closing = true
+	return false
+}
+
+// ingest counts the batch's frames and hands its reports and ticks to
+// ingestBatch.
+func (c *session) ingest() {
+	if c.frames > 0 {
+		c.s.frames.Add(c.frames)
+		c.frames = 0
+	}
+	if len(c.batch) > 0 {
+		c.s.ingestBatch(c.cs, c.id, c.batch, c.groups)
+		c.batch = c.batch[:0]
+	}
+}
+
+// ackDue reports whether the batch just ingested is acknowledged now:
+// when there is something to acknowledge, and the socket is idle at a
+// batch boundary, AckEvery frames are pending, or the client identity is
+// about to change or the connection to close.
+func (c *session) ackDue(idle bool) bool {
+	if c.pending == 0 && c.lastSeen == c.lastAcked && !c.force {
+		return false
+	}
+	return idle || c.pending >= c.s.cfg.AckEvery || c.rebinding || c.closing
+}
+
+// bind attaches the connection to a client identity. The ack state is
+// per client: lastSeen and lastAcked are that client's sequence numbers,
+// and carrying them across a rebind would acknowledge sequences the new
+// client never sent.
+func (c *session) bind(id uint64) {
+	c.cs, c.id = c.s.clientState(id), id
+	c.lastSeen, c.lastAcked, c.pending = 0, 0, 0
+	c.rebinding = false
 }
 
 // writeAck flushes one acknowledgement frame for seq to the peer. The
@@ -831,16 +840,11 @@ func writeAck(bw *bufio.Writer, ackBuf []byte, seq uint64) ([]byte, error) {
 // a segment may overshoot SegmentBytes by at most one batch of
 // records). Journal records are encoded through the journal's shared
 // scratch, so a batch appends without per-report allocations, and the
-// caller's single Commit (in flushAck) makes all of them durable at
-// once.
+// connection's single Commit makes all of them durable at once.
 //
-// groups is the caller's reusable per-shard staging area: new reports
-// are bucketed by shard and pushed as one slice per shard, so queue
-// locks and worker wakeups are per batch, not per report. Ticks fan out
-// to every shard and act as sub-batch boundaries — grouped reports are
-// flushed first, so each shard's queue sees reports and ticks in
-// arrival order, and a journal replay (which applies records one at a
-// time, in order) reproduces the exact same delivery sequence.
+// groups is the caller's reusable per-shard staging area (see route):
+// each shard receives the batch as one slice, so queue locks and worker
+// wakeups are per batch, not per report.
 func (s *Server) ingestBatch(cs *clientSeq, clientID uint64, batch []Frame, groups [][]shardItem) {
 	j := s.journal
 	if j != nil {
@@ -859,17 +863,15 @@ func (s *Server) ingestBatch(cs *clientSeq, clientID uint64, batch []Frame, grou
 		}
 		if f.Type == FrameTick {
 			ticks++
-			flushShardGroups(s.shards, groups)
-			for _, sh := range s.shards {
-				sh.push(shardItem{tick: true})
-			}
-			continue
+		} else {
+			ingested++
 		}
-		ingested++
-		idx := s.shardIndex(f.Event.Flow)
-		groups[idx] = append(groups[idx], shardItem{ev: f.Event, hop: f.Hop})
+		s.route(groups, f)
 	}
-	flushShardGroups(s.shards, groups)
+	for i, g := range groups {
+		s.shards[i].pushBatch(g)
+		groups[i] = g[:0] // pushBatch copied the items into the ring
+	}
 	if dupes > 0 {
 		s.dupes.Add(dupes)
 	}
@@ -884,16 +886,21 @@ func (s *Server) ingestBatch(cs *clientSeq, clientID uint64, batch []Frame, grou
 	}
 }
 
-// flushShardGroups pushes each shard's staged report slice and resets
-// the groups for reuse (pushBatch copies items into the ring, so the
-// backing arrays are safe to recycle).
-func flushShardGroups(shards []*shard, groups [][]shardItem) {
-	for i, g := range groups {
-		if len(g) > 0 {
-			shards[i].pushBatch(g)
-			groups[i] = g[:0]
+// route stages one accounted frame for delivery in the per-shard groups:
+// a report joins its flow's shard, a tick joins every shard. Each group
+// therefore holds its shard's reports and ticks in arrival order, which
+// is the order the shard delivers them in — live, through its queue and
+// worker, and on journal replay, which routes the same records the same
+// way (StagedRecovery.Commit).
+func (s *Server) route(groups [][]shardItem, f *Frame) {
+	if f.Type == FrameTick {
+		for i := range groups {
+			groups[i] = append(groups[i], shardItem{tick: true})
 		}
+		return
 	}
+	i := s.shardIndex(f.Event.Flow)
+	groups[i] = append(groups[i], shardItem{ev: f.Event, hop: f.Hop})
 }
 
 // isWireError reports whether err is a frame-format error (as opposed

@@ -183,9 +183,10 @@ func TestChurnConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestControllerDeliverResetRace hammers Deliver/DeliverEvent from many
-// goroutines while others read Events/Stats and one repeatedly Resets —
-// the worst-case interleaving for the mutex discipline. Correctness
+// TestControllerDeliverResetRace hammers DeliverFlow, with fresh and
+// long-lived dedup windows, from many goroutines while others read
+// Events/Stats and one repeatedly Resets — the worst-case interleaving
+// for the mutex discipline. Correctness
 // assertions are minimal (Reset wipes counters mid-flight); the test
 // exists so the race detector can prove the locking sound.
 func TestControllerDeliverResetRace(t *testing.T) {
@@ -203,7 +204,7 @@ func TestControllerDeliverResetRace(t *testing.T) {
 				ev.Reporter = detect.SwitchID(w*7 + i%13)
 				ev.Hops = i % 50
 				if i%2 == 0 {
-					c.DeliverEvent(ev)
+					deliverFresh(c, ev)
 				} else {
 					c.DeliverFlow(ev, &d, i)
 				}

@@ -108,8 +108,7 @@ type LoopEvent struct {
 	detect.Report
 	// Node is the topology node of the reporting switch.
 	Node int
-	// Flow is the flow whose packet raised the report (0 when unknown —
-	// e.g. reports delivered through the bare Deliver API).
+	// Flow is the flow whose packet raised the report (0 when unknown).
 	Flow uint32
 	// Members is the full loop membership when the report closed a
 	// §3.5 collection lap; nil for plain detection reports.
@@ -154,20 +153,6 @@ func NewControllerWithConfig(cfg ControllerConfig) *Controller {
 
 // Config returns the controller's hardening configuration.
 func (c *Controller) Config() ControllerConfig { return c.cfg }
-
-// Deliver records a plain detection report.
-func (c *Controller) Deliver(r detect.Report, node int) {
-	c.DeliverEvent(LoopEvent{Report: r, Node: node})
-}
-
-// DeliverEvent records a full event (e.g. with loop membership), subject
-// to quarantine and the ring bound but not to per-flow dedup (dedup
-// needs the flow's journey context — see deliverFlow).
-func (c *Controller) DeliverEvent(ev LoopEvent) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.admitLocked(ev)
-}
 
 // dedupEntries is the capacity of a per-flow dedup window: the distinct
 // reporters a single journey can realistically alternate between inside

@@ -20,7 +20,7 @@ func TestControllerBoundedUnderMillionFlowChurn(t *testing.T) {
 		ev := LoopEvent{Node: i % 64, Flow: uint32(i)}
 		ev.Reporter = detect.SwitchID(i % 64)
 		ev.Hops = i % 40
-		c.DeliverEvent(ev)
+		deliverFresh(c, ev)
 		if i%131072 == 0 {
 			c.Tick()
 		}
@@ -111,7 +111,7 @@ func TestControllerQuarantine(t *testing.T) {
 		return e
 	}
 	for i := 0; i < 5; i++ {
-		c.DeliverEvent(ev())
+		deliverFresh(c, ev())
 	}
 	st := c.Stats()
 	if st.Accepted != 2 || st.Quarantined != 3 {
@@ -119,20 +119,20 @@ func TestControllerQuarantine(t *testing.T) {
 	}
 	// Tick 1 is still inside the mute (rest of window + 1 extra tick).
 	c.Tick()
-	c.DeliverEvent(ev())
+	deliverFresh(c, ev())
 	if st = c.Stats(); st.Accepted != 2 || st.Quarantined != 4 {
 		t.Fatalf("tick 1: accepted=%d quarantined=%d, want 2/4", st.Accepted, st.Quarantined)
 	}
 	// Tick 2: the mute expired, the window is fresh.
 	c.Tick()
-	c.DeliverEvent(ev())
+	deliverFresh(c, ev())
 	if st = c.Stats(); st.Accepted != 3 || st.Quarantined != 4 {
 		t.Fatalf("tick 2: accepted=%d quarantined=%d, want 3/4", st.Accepted, st.Quarantined)
 	}
 	// An innocent reporter is never caught in 7's quarantine.
 	e := LoopEvent{}
 	e.Reporter = 8
-	c.DeliverEvent(e)
+	deliverFresh(c, e)
 	if st = c.Stats(); st.Accepted != 4 {
 		t.Fatalf("innocent reporter suppressed: %+v", st)
 	}
@@ -145,7 +145,7 @@ func TestControllerAging(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		e := LoopEvent{Flow: uint32(i)}
 		e.Reporter = detect.SwitchID(i)
-		c.DeliverEvent(e)
+		deliverFresh(c, e)
 	}
 	c.Tick() // age 1: still within MaxAgeTicks
 	if st := c.Stats(); st.Buffered != 4 || st.Aged != 0 {
@@ -153,8 +153,8 @@ func TestControllerAging(t *testing.T) {
 	}
 	e := LoopEvent{Flow: 99}
 	e.Reporter = 9
-	c.DeliverEvent(e) // stamped at tick 1
-	c.Tick()          // tick 2: the first four (age 2) expire, the fifth (age 1) stays
+	deliverFresh(c, e) // stamped at tick 1
+	c.Tick()           // tick 2: the first four (age 2) expire, the fifth (age 1) stays
 	st := c.Stats()
 	if st.Buffered != 1 || st.Aged != 4 {
 		t.Fatalf("after 2 ticks: %+v, want 1 buffered, 4 aged", st)
@@ -175,7 +175,7 @@ func TestControllerEvictionOrder(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		e := LoopEvent{Flow: uint32(i)}
 		e.Reporter = detect.SwitchID(i)
-		c.DeliverEvent(e)
+		deliverFresh(c, e)
 	}
 	evs := c.Events()
 	if len(evs) != 4 {
@@ -199,7 +199,7 @@ func TestControllerResetKeepsConfig(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e := LoopEvent{}
 		e.Reporter = 1
-		c.DeliverEvent(e)
+		deliverFresh(c, e)
 	}
 	c.Tick()
 	c.Reset()

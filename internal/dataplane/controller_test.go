@@ -7,9 +7,16 @@ import (
 	"github.com/unroller/unroller/internal/detect"
 )
 
+// deliverFresh delivers ev with a fresh dedup window: no flow history,
+// so only quarantine and the ring bound decide — the decisions the
+// controller makes for a report without flow context.
+func deliverFresh(c *Controller, ev LoopEvent) bool {
+	return c.DeliverFlow(ev, &DedupWindow{}, 0)
+}
+
 // TestControllerConcurrentDelivery exercises the controller's documented
 // thread-safety: parallel benchmarks share one sink, so concurrent
-// Deliver/Count/Events/TopReporters must be race-free (the CI gate runs
+// DeliverFlow/Count/Events/TopReporters must be race-free (the CI gate runs
 // this under -race) and lose no reports.
 func TestControllerConcurrentDelivery(t *testing.T) {
 	c := NewController()
@@ -21,7 +28,7 @@ func TestControllerConcurrentDelivery(t *testing.T) {
 		go func(worker int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				c.Deliver(detect.Report{Reporter: detect.SwitchID(worker), Hops: i}, worker)
+				deliverFresh(c, LoopEvent{Report: detect.Report{Reporter: detect.SwitchID(worker), Hops: i}, Node: worker})
 				// Interleave reads with writes to give the race detector
 				// something to catch if the locking regresses.
 				if i%50 == 0 {
@@ -45,7 +52,7 @@ func TestControllerTopReportersOrdering(t *testing.T) {
 	c := NewController()
 	deliver := func(id detect.SwitchID, n int) {
 		for i := 0; i < n; i++ {
-			c.Deliver(detect.Report{Reporter: id, Hops: i}, 0)
+			deliverFresh(c, LoopEvent{Report: detect.Report{Reporter: id, Hops: i}, Node: 0})
 		}
 	}
 	deliver(detect.SwitchID(3), 1)
@@ -69,12 +76,12 @@ func TestControllerTopReportersOrdering(t *testing.T) {
 // copies: a caller mutating a returned slice must not corrupt the log.
 func TestControllerCopySemantics(t *testing.T) {
 	c := NewController()
-	c.DeliverEvent(LoopEvent{
+	deliverFresh(c, LoopEvent{
 		Report:  detect.Report{Reporter: detect.SwitchID(9), Hops: 4},
 		Node:    2,
 		Members: []detect.SwitchID{9, 10, 11},
 	})
-	c.Deliver(detect.Report{Reporter: detect.SwitchID(1), Hops: 1}, 0)
+	deliverFresh(c, LoopEvent{Report: detect.Report{Reporter: detect.SwitchID(1), Hops: 1}, Node: 0})
 
 	ms := c.Memberships()
 	if len(ms) != 1 || len(ms[0]) != 3 {
@@ -98,7 +105,7 @@ func TestControllerCopySemantics(t *testing.T) {
 // TestControllerReset pins that Reset clears every view of the log.
 func TestControllerReset(t *testing.T) {
 	c := NewController()
-	c.Deliver(detect.Report{Reporter: detect.SwitchID(5), Hops: 3}, 1)
+	deliverFresh(c, LoopEvent{Report: detect.Report{Reporter: detect.SwitchID(5), Hops: 3}, Node: 1})
 	c.Reset()
 	if c.Count() != 0 || len(c.Events()) != 0 || len(c.TopReporters()) != 0 || len(c.Memberships()) != 0 {
 		t.Fatal("Reset left state behind")

@@ -278,9 +278,9 @@ func TestEmulatorMatchesSimulator(t *testing.T) {
 // TestControllerAggregation.
 func TestControllerAggregation(t *testing.T) {
 	c := NewController()
-	c.Deliver(detect.Report{Reporter: 5, Hops: 10}, 1)
-	c.Deliver(detect.Report{Reporter: 5, Hops: 12}, 1)
-	c.Deliver(detect.Report{Reporter: 9, Hops: 8}, 2)
+	deliverFresh(c, LoopEvent{Report: detect.Report{Reporter: 5, Hops: 10}, Node: 1})
+	deliverFresh(c, LoopEvent{Report: detect.Report{Reporter: 5, Hops: 12}, Node: 1})
+	deliverFresh(c, LoopEvent{Report: detect.Report{Reporter: 9, Hops: 8}, Node: 2})
 	if c.Count() != 3 {
 		t.Fatal("count")
 	}

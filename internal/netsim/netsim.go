@@ -205,9 +205,11 @@ func (s *Sim) arrive(v int, wire []byte, meta pktMeta) {
 			return
 		}
 		if dec.LoopReport != nil {
-			s.net.Controller.DeliverEvent(dataplane.LoopEvent{
+			// A fresh dedup window: the simulator keeps no per-flow report
+			// history, so quarantine and the ring bound alone decide.
+			s.net.Controller.DeliverFlow(dataplane.LoopEvent{
 				Report: *dec.LoopReport, Node: v, Members: dec.Members,
-			})
+			}, &dataplane.DedupWindow{}, meta.hops)
 		}
 		meta.hops++
 		f := s.flows[meta.flow]
