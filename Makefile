@@ -4,6 +4,8 @@
 #   make test    unit tests
 #   make lint    go vet + the project's own analyzers (unroller-vet) +
 #                the orphan-package check
+#   make perfbench  go vet + go test of the perfbench module (a
+#                separate module importing internal/ packages)
 #   make vet-json  the analyzer suite with machine-readable findings
 #   make vettool rebuild unroller-vet and run it under `go vet`
 #                (unitchecker mode, incremental + cached)
@@ -21,11 +23,11 @@
 #                journal-reconciled rejoin, exactly-once cluster-wide
 #   make bench   full benchmark run with allocation stats
 #   make ci      the full gate (ci.sh): build, vet, unroller-vet,
-#                race tests, oracle gate, fuzz smoke, bench smoke
+#                perfbench, race tests, oracle gate, fuzz smoke, bench smoke
 
 GO ?= go
 
-.PHONY: build test lint orphans vet-json vettool race fuzz oracle cluster bench ci
+.PHONY: build test lint orphans perfbench vet-json vettool race fuzz oracle cluster bench ci
 
 build:
 	$(GO) build ./...
@@ -43,6 +45,9 @@ orphans:
 	$(GO) list -f '{{.ImportPath}} {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... | \
 	awk '{ pkg[$$1] = 1; for (i = 2; i <= NF; i++) if ($$i != $$1) used[$$i] = 1 } \
 	END { for (p in pkg) if (p ~ /\/internal\// && !(p in used)) { print "orphan package, nothing imports it: " p; bad = 1 }; exit bad }'
+
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 vet-json:
 	$(GO) run ./cmd/unroller-vet -json ./...

@@ -12,6 +12,9 @@
 #                 -json mode checked against the stable empty shape, and
 #                 as a `go vet -vettool=` unitchecker so the fact
 #                 transport through .vetx files stays honest
+#   perfbench     go vet and go test of the perfbench module, a separate
+#                 module that imports internal/ packages: an API change
+#                 that breaks the benchmark fails here, not at bench time
 #   orphans       every package under internal/ must be imported by some
 #                 other package in the module (test imports count, a
 #                 package's own tests do not): a package nothing uses
@@ -94,6 +97,9 @@ vettool_dir="$(mktemp -d)"
 trap 'rm -rf "$vettool_dir"' EXIT
 go build -o "$vettool_dir/unroller-vet" ./cmd/unroller-vet
 go vet -vettool="$vettool_dir/unroller-vet" ./...
+
+echo "==> perfbench module (vet + tests)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "==> orphan packages (every internal/ package has an importer)"
 imports="$(go list -f '{{.ImportPath}} {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./...)"

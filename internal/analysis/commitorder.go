@@ -5,6 +5,10 @@ import (
 	"go/types"
 )
 
+// commitorderName is the analyzer's name as a constant, usable from its
+// own Run/FactGen without an initialization cycle through the var.
+const commitorderName = "commitorder"
+
 // CommitorderAnalyzer enforces the commit-before-ack durability rule
 // (DESIGN §9): an acknowledgement is the client's licence to forget, so
 // no path may reach an ack write without the journal commit that makes
@@ -14,20 +18,17 @@ import (
 // both tags are exported as package facts so a caller in any package is
 // checked against them.
 //
-// The check is an intra-function must-dataflow over the CFG: "a commit
-// dominates this point" starts false, branches merge with AND, a loop
-// body is checked within one iteration, and reaching an ackpoint call
-// consumes the commit (the next ack needs its own commit — one Commit
-// cannot license a whole batch of later acks after more appends).
+// The check is an intra-function must-dataflow on the shared control-flow
+// walker (flow.go): "a commit dominates this point" starts false, paths
+// join with AND (at branches, breaks, fallthroughs and loop back edges),
+// and reaching an ackpoint call consumes the commit (the next ack needs
+// its own commit — one Commit cannot license a whole batch of later acks
+// after more appends, in a loop or out of one).
 // One shape gets special treatment: an if-without-else whose body
 // commits and does not ack is a *guarded commit arm* — the
 // `if s.journal != nil { s.journal.Commit() }` idiom, where the
 // fall-through path has no journal and therefore nothing to commit —
 // and counts as committing on both paths.
-// commitorderName is the analyzer's name as a constant, usable from its
-// own Run/FactGen without an initialization cycle through the var.
-const commitorderName = "commitorder"
-
 var CommitorderAnalyzer = &Analyzer{
 	Name:    commitorderName,
 	Doc:     "require a //unroller:commitpoint call to dominate every //unroller:ackpoint call",
@@ -62,35 +63,28 @@ func genCommitorderFacts(pass *Pass) error {
 }
 
 func runCommitorder(pass *Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			// A tagged function is a role, not a caller under check: the
-			// ackpoint's own body is the ack write.
-			if pass.Dirs.isCommitpoint(fn) || pass.Dirs.isAckpoint(fn) {
-				continue
-			}
-			w := &commitWalker{pass: pass}
-			committed := false
-			w.walkStmts(fn.Body.List, &committed)
+	funcScopes(pass.Files, func(decl *ast.FuncDecl, _ string, body *ast.BlockStmt) {
+		// A tagged function is a role, not a caller under check: the
+		// ackpoint's own body is the ack write.
+		if decl != nil && body == decl.Body && (pass.Dirs.isCommitpoint(decl) || pass.Dirs.isAckpoint(decl)) {
+			return
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				w := &commitWalker{pass: pass}
-				committed := false
-				w.walkStmts(lit.Body.List, &committed)
-			}
-			return true
-		})
-	}
+		w := &commitWalker{}
+		w.flow = flow[commitState]{pass: pass, step: w.step, guard: w.guard}
+		w.run(body, false)
+	})
 	return nil
 }
 
+// commitState is "a commit dominates this point".
+type commitState bool
+
+func (c commitState) clone() commitState             { return c }
+func (c commitState) join(o commitState) commitState { return c && o }
+func (c commitState) equal(o commitState) bool       { return c == o }
+
 type commitWalker struct {
-	pass *Pass
+	flow[commitState]
 }
 
 // callRole resolves a call's target against the commitorder facts.
@@ -110,177 +104,41 @@ func (w *commitWalker) callRole(call *ast.CallExpr) string {
 	return role
 }
 
-// scanStmtCalls processes the calls of one statement in source order:
-// commits set the flag, acks check and consume it. Function literals are
-// separate scopes and are skipped.
-func (w *commitWalker) scanStmtCalls(n ast.Node, committed *bool) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
+// step processes the calls of one step in source order: commits set the
+// state, acks check and consume it.
+func (w *commitWalker) step(n ast.Node, committed commitState) commitState {
+	inspectScope(n, func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
-			return true
+			return
 		}
 		switch w.callRole(call) {
 		case "commitpoint":
-			*committed = true
+			committed = true
 		case "ackpoint":
-			if !*committed {
-				w.pass.Reportf(call.Pos(), "ack write is not dominated by a journal commit on every path (commit-before-ack, DESIGN §9): call the //unroller:commitpoint function first")
+			if !committed {
+				w.reportf(call.Pos(), "ack write is not dominated by a journal commit on every path (commit-before-ack, DESIGN §9): call the //unroller:commitpoint function first")
 			}
 			// The ack consumed the commit; a later ack needs a fresh one.
-			*committed = false
+			committed = false
 		}
-		return true
 	})
+	return committed
 }
 
-// containsAckCall reports whether the subtree calls an ackpoint
-// (function literals excluded).
-func (w *commitWalker) containsAckCall(stmts []ast.Stmt) bool {
-	found := false
-	for _, s := range stmts {
-		ast.Inspect(s, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
-			}
-			if call, ok := n.(*ast.CallExpr); ok && w.callRole(call) == "ackpoint" {
-				found = true
-			}
-			return !found
-		})
+// guard is the guarded commit arm: an if without else whose body
+// commits, acks nothing and falls through counts as committing on the
+// path that skips it too — its condition decides whether there is
+// anything to commit at all.
+func (w *commitWalker) guard(ifs *ast.IfStmt, body, skipped commitState) commitState {
+	if skipped || !body {
+		return skipped
 	}
-	return found
-}
-
-func (w *commitWalker) walkStmts(stmts []ast.Stmt, committed *bool) bool {
-	for _, s := range stmts {
-		if w.walkStmt(s, committed) {
-			return true
+	acks := false
+	inspectScope(ifs.Body, func(n ast.Node) {
+		if call, ok := n.(*ast.CallExpr); ok && w.callRole(call) == "ackpoint" {
+			acks = true
 		}
-	}
-	return false
-}
-
-func (w *commitWalker) walkStmt(stmt ast.Stmt, committed *bool) bool {
-	switch s := stmt.(type) {
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.scanStmtCalls(e, committed)
-		}
-		return true
-	case *ast.BranchStmt:
-		return true
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, committed)
-		}
-		w.scanStmtCalls(s.Cond, committed)
-		entry := *committed
-		thenC := entry
-		thenTerm := w.walkStmts(s.Body.List, &thenC)
-		if s.Else == nil {
-			// Guarded commit arm: the branch commits, acks nothing, and
-			// falls through — the condition guards whether there is
-			// anything to commit at all, so both paths count as committed.
-			if !thenTerm && thenC && !entry && !w.containsAckCall(s.Body.List) {
-				*committed = true
-				return false
-			}
-			if thenTerm {
-				*committed = entry
-			} else {
-				*committed = entry && thenC
-			}
-			return false
-		}
-		elseC := entry
-		elseTerm := w.walkStmt(s.Else, &elseC)
-		switch {
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			*committed = elseC
-		case elseTerm:
-			*committed = thenC
-		default:
-			*committed = thenC && elseC
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, committed)
-		}
-		w.scanStmtCalls(s.Cond, committed)
-		bodyC := *committed
-		w.walkStmts(s.Body.List, &bodyC)
-		// Zero-iteration possibility: the body's commits do not count
-		// downstream.
-	case *ast.RangeStmt:
-		w.scanStmtCalls(s.X, committed)
-		bodyC := *committed
-		w.walkStmts(s.Body.List, &bodyC)
-	case *ast.SelectStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt:
-		w.walkCases(stmt, committed)
-	case *ast.BlockStmt:
-		return w.walkStmts(s.List, committed)
-	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt, committed)
-	case *ast.GoStmt, *ast.DeferStmt:
-		// Separate scopes / post-return execution: a deferred ack cannot
-		// be ordered against this body's commits, so it is checked as its
-		// own (initially uncommitted) scope via the FuncLit walk.
-	default:
-		w.scanStmtCalls(stmt, committed)
-	}
-	return false
-}
-
-// walkCases forks the flag per case clause and re-merges with AND over
-// the non-terminating clauses.
-func (w *commitWalker) walkCases(stmt ast.Stmt, committed *bool) {
-	var clauses []ast.Stmt
-	switch s := stmt.(type) {
-	case *ast.SelectStmt:
-		clauses = s.Body.List
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, committed)
-		}
-		w.scanStmtCalls(s.Tag, committed)
-		clauses = s.Body.List
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, committed)
-		}
-		clauses = s.Body.List
-	}
-	entry := *committed
-	merged := entry
-	first := true
-	for _, c := range clauses {
-		var body []ast.Stmt
-		switch cc := c.(type) {
-		case *ast.CaseClause:
-			body = cc.Body
-		case *ast.CommClause:
-			body = cc.Body
-		default:
-			continue
-		}
-		caseC := entry
-		if !w.walkStmts(body, &caseC) {
-			if first {
-				merged, first = caseC, false
-			} else {
-				merged = merged && caseC
-			}
-		}
-	}
-	if !first {
-		*committed = merged
-	}
+	})
+	return commitState(!acks)
 }

@@ -2,12 +2,11 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
 // DeadlineAnalyzer enforces the deadline-armed I/O rule in
-// internal/collectorsvc (PR 5's hardening contract): every read or write
+// internal/collectorsvc and internal/cluster: every read or write
 // that can touch a socket must be dominated by a SetReadDeadline /
 // SetWriteDeadline arm in the same scope, so a silent or stalled peer is
 // reaped by the kernel timer instead of parking a goroutine and its
@@ -20,18 +19,20 @@ import (
 // collector always wraps its conns — operations on bufio readers and
 // writers constructed from a conn, including passing such a
 // reader/writer to a helper (ReadFrameBuffered(br) is a conn read). Arming
-// is tracked as a per-scope must-dominate dataflow: branches merge with
-// AND, and each function literal starts un-armed (a closure cannot rely
+// is tracked as a per-scope must-dominate dataflow on the shared
+// control-flow walker (flow.go): paths join with AND, and each function
+// literal starts un-armed (a closure cannot rely
 // on its creator having armed the conn at some earlier time — deadlines
 // are absolute points in time and must be re-armed near the I/O they
 // bound). For the same reason an arm made before a loop covers only its
-// first iteration: a loop body is entered in the pre-loop state AND the
-// state the body itself leaves on every path back to the loop head, so
+// first iteration: a loop's head state is the pre-loop state AND the
+// state the body, started un-armed, leaves on every path back to the
+// head (its end, continue, or a labeled continue from an inner loop), so
 // I/O in a later iteration needs an arm inside the body — ahead of it in
 // the same iteration, or behind it on every path to the next one.
 var DeadlineAnalyzer = &Analyzer{
 	Name: "deadline",
-	Doc:  "require SetRead/SetWriteDeadline to dominate every conn read/write in collectorsvc",
+	Doc:  "require SetRead/SetWriteDeadline to dominate every conn read/write in collectorsvc and cluster",
 	Run:  runDeadline,
 }
 
@@ -54,27 +55,22 @@ func runDeadline(pass *Pass) error {
 	if connIface == nil {
 		return nil
 	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			// Taint is resolved per top-level function: bufio wrappers are
-			// identified by their construction site, and the objects are
-			// shared with every closure in the body (Info.Uses resolves a
-			// captured identifier to the same object).
-			taint := connBufWrappers(pass, fn.Body, connIface)
-			w := &deadlineWalker{pass: pass, conn: connIface, taint: taint}
-			w.walkStmts(fn.Body.List, &armState{})
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					w.walkStmts(lit.Body.List, &armState{})
-				}
-				return true
-			})
+	funcScopes(pass.Files, func(decl *ast.FuncDecl, _ string, body *ast.BlockStmt) {
+		// Taint is resolved per top-level function: bufio wrappers are
+		// identified by their construction site, and the objects are
+		// shared with every closure in the body (Info.Uses resolves a
+		// captured identifier to the same object).
+		root := body
+		if decl != nil {
+			root = decl.Body
 		}
-	}
+		w := &deadlineWalker{conn: connIface, taint: connBufWrappers(pass, root, connIface)}
+		// A deadline is an absolute time: one armed before a loop has
+		// passed by some later iteration, so only the body's own arms
+		// carry around a back edge.
+		w.flow = flow[*armState]{pass: pass, step: w.step, later: func(*armState) *armState { return &armState{} }}
+		w.run(body, &armState{})
+	})
 	return nil
 }
 
@@ -133,219 +129,32 @@ type armState struct {
 
 func (a *armState) clone() *armState { c := *a; return &c }
 
-// and merges an alternative branch: armed only if armed on both.
-func (a *armState) and(b *armState) {
+// join merges another path: armed only if armed on both.
+func (a *armState) join(b *armState) *armState {
 	a.read = a.read && b.read
 	a.write = a.write && b.write
+	return a
 }
+
+func (a *armState) equal(b *armState) bool { return *a == *b }
 
 type deadlineWalker struct {
-	pass  *Pass
+	flow[*armState]
 	conn  *types.Interface
 	taint map[types.Object]string
-	// quiet > 0 while a loop body is walked only to learn what it arms:
-	// findings are reported by the walk that starts from the true entry
-	// state.
-	quiet int
-	// continues collects the arm state at each unlabeled continue of the
-	// innermost loop body being walked.
-	continues *[]armState
 }
 
-// reportf reports a finding unless the walk is a quiet pre-pass.
-func (w *deadlineWalker) reportf(pos token.Pos, format string, args ...any) {
-	if w.quiet == 0 {
-		w.pass.Reportf(pos, format, args...)
-	}
-}
-
-// loopEntry is the arm state at the head of every iteration of a loop
-// entered in state pre: pre AND the state the body, started un-armed,
-// leaves on every path back to the loop head (falling off its end or
-// continuing). A deadline armed before the loop has passed by some
-// later iteration, so only the body's own arms carry around the back
-// edge. Labeled continues are not tracked; none target an outer loop
-// in the packages under this contract.
-func (w *deadlineWalker) loopEntry(body *ast.BlockStmt, pre *armState) *armState {
-	self := &armState{}
-	w.quiet++
-	backEdges, fellThrough := w.walkLoopBody(body, self)
-	w.quiet--
-	entry := pre.clone()
-	if fellThrough {
-		entry.and(self)
-	}
-	for i := range backEdges {
-		entry.and(&backEdges[i])
-	}
-	return entry
-}
-
-// walkLoopBody walks one iteration from st, returning the arm states at
-// the body's continues and whether it can fall off its end (st then
-// holds the end state).
-func (w *deadlineWalker) walkLoopBody(body *ast.BlockStmt, st *armState) ([]armState, bool) {
-	var continues []armState
-	outer := w.continues
-	w.continues = &continues
-	term := w.walkStmts(body.List, st)
-	w.continues = outer
-	return continues, !term
-}
-
-func (w *deadlineWalker) walkStmts(stmts []ast.Stmt, st *armState) bool {
-	for _, s := range stmts {
-		if w.walkStmt(s, st) {
-			return true
+func (w *deadlineWalker) step(n ast.Node, st *armState) *armState {
+	inspectScope(n, func(n ast.Node) {
+		if call, ok := n.(*ast.CallExpr); ok {
+			w.scanCall(call, st)
 		}
-	}
-	return false
-}
-
-func (w *deadlineWalker) walkStmt(stmt ast.Stmt, st *armState) bool {
-	switch s := stmt.(type) {
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.scanExpr(e, st)
-		}
-		return true
-	case *ast.BranchStmt:
-		if s.Tok == token.CONTINUE && s.Label == nil && w.continues != nil {
-			*w.continues = append(*w.continues, *st)
-		}
-		return true
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		w.scanExpr(s.Cond, st)
-		thenSt := st.clone()
-		thenTerm := w.walkStmts(s.Body.List, thenSt)
-		elseSt := st.clone()
-		elseTerm := false
-		if s.Else != nil {
-			elseTerm = w.walkStmt(s.Else, elseSt)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return true
-		case thenTerm:
-			*st = *elseSt
-		case elseTerm:
-			*st = *thenSt
-		default:
-			*st = *thenSt
-			st.and(elseSt)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		// The condition runs at the head of every iteration.
-		entry := w.loopEntry(s.Body, st)
-		if s.Cond != nil {
-			w.scanExpr(s.Cond, entry)
-		}
-		w.walkLoopBody(s.Body, entry)
-		// The loop may run zero times: whatever the body armed does not
-		// count downstream.
-	case *ast.RangeStmt:
-		w.scanExpr(s.X, st)
-		w.walkLoopBody(s.Body, w.loopEntry(s.Body, st))
-	case *ast.SelectStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt:
-		w.walkBranchBodies(stmt, st)
-	case *ast.BlockStmt:
-		return w.walkStmts(s.List, st)
-	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt, st)
-	case *ast.GoStmt, *ast.DeferStmt:
-		// Function literals inside are walked as their own scopes by the
-		// caller; a bare `defer conn.Close()` has no deadline obligation.
-	default:
-		ast.Inspect(stmt, func(n ast.Node) bool {
-			if _, ok := n.(*ast.FuncLit); ok {
-				return false
-			}
-			if e, ok := n.(ast.Expr); ok {
-				w.scanCall(e, st)
-			}
-			return true
-		})
-	}
-	return false
-}
-
-// walkBranchBodies forks st per case clause and re-merges with AND.
-func (w *deadlineWalker) walkBranchBodies(stmt ast.Stmt, st *armState) {
-	var clauses []ast.Stmt
-	switch s := stmt.(type) {
-	case *ast.SelectStmt:
-		clauses = s.Body.List
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		if s.Tag != nil {
-			w.scanExpr(s.Tag, st)
-		}
-		clauses = s.Body.List
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		clauses = s.Body.List
-	}
-	merged := st.clone()
-	first := true
-	for _, c := range clauses {
-		var body []ast.Stmt
-		switch cc := c.(type) {
-		case *ast.CaseClause:
-			body = cc.Body
-		case *ast.CommClause:
-			body = cc.Body
-		default:
-			continue
-		}
-		caseSt := st.clone()
-		if !w.walkStmts(body, caseSt) {
-			if first {
-				merged = caseSt
-				first = false
-			} else {
-				merged.and(caseSt)
-			}
-		}
-	}
-	if !first {
-		*st = *merged
-	}
-}
-
-// scanExpr inspects one expression subtree for conn I/O and arming,
-// skipping nested function literals.
-func (w *deadlineWalker) scanExpr(expr ast.Expr, st *armState) {
-	if expr == nil {
-		return
-	}
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if e, ok := n.(ast.Expr); ok {
-			w.scanCall(e, st)
-		}
-		return true
 	})
+	return st
 }
 
-// scanCall classifies one expression node: arming flips the state, I/O
-// checks it.
-func (w *deadlineWalker) scanCall(e ast.Expr, st *armState) {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return
-	}
+// scanCall classifies one call: arming flips the state, I/O checks it.
+func (w *deadlineWalker) scanCall(call *ast.CallExpr, st *armState) {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if recvT := w.pass.Info.TypeOf(sel.X); recvT != nil && types.Implements(recvT, w.conn) {
 			switch sel.Sel.Name {

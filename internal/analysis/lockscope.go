@@ -18,12 +18,14 @@ import (
 //     all paths out of the function — a return with the mutex held is
 //     reported at the return, a fallthrough leak at the Lock.
 //
-// The check is intra-procedural and branch-aware: held sets fork at
-// if/switch/select and re-merge conservatively (a mutex held on either
-// arm counts as held after the merge). Each function literal is its own
-// scope — a closure's Lock/Unlock discipline is judged where the closure
-// is written, since the analyzer cannot see when it runs. Two
-// conventions keep the check precise: a `defer mu.Unlock()` satisfies
+// The check is intra-procedural and runs on the shared control-flow
+// walker (flow.go): held sets fork at if/switch/select, carry through
+// break, continue, fallthrough and loop back edges, and re-merge
+// conservatively (a mutex held on any path counts as held after the
+// join). Each function literal is its own scope — a closure's
+// Lock/Unlock discipline is judged where the closure is written, since
+// the analyzer cannot see when it runs. Two conventions keep the check
+// precise: a `defer mu.Unlock()` satisfies
 // pairing but the mutex still counts as held for rule 1 (that is exactly
 // the (*Journal).Close sync-under-lock case), and methods following the
 // repo's "Locked" suffix convention take no visible Lock and are
@@ -35,21 +37,11 @@ var LockscopeAnalyzer = &Analyzer{
 }
 
 func runLockscope(pass *Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-				checkLockScope(pass, fn.Name.Name, fn.Body)
-			}
-		}
-		// Every function literal — in defers, go statements, assignments —
-		// is an independent scope.
-		ast.Inspect(f, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				checkLockScope(pass, "func literal", lit.Body)
-			}
-			return true
-		})
-	}
+	funcScopes(pass.Files, func(_ *ast.FuncDecl, name string, body *ast.BlockStmt) {
+		w := &lockWalker{fname: name}
+		w.flow = flow[lockState]{pass: pass, step: w.step, exit: w.exit}
+		w.run(body, make(lockState))
+	})
 	return nil
 }
 
@@ -72,10 +64,10 @@ func (s lockState) clone() lockState {
 	return c
 }
 
-// merge folds an alternative branch outcome into s: a mutex held on
-// either arm is held after the join (conservative for rule 1), and a
-// defer only counts if both arms had it (conservative for rule 2).
-func (s lockState) merge(other lockState) {
+// join folds another path into s: a mutex held on either path is held
+// after the join (conservative for rule 1), and a defer only counts if
+// both paths had it (conservative for rule 2).
+func (s lockState) join(other lockState) lockState {
 	for k, o := range other {
 		if mine, ok := s[k]; ok {
 			mine.deferred = mine.deferred && o.deferred
@@ -84,42 +76,30 @@ func (s lockState) merge(other lockState) {
 			s[k] = &hl
 		}
 	}
+	return s
 }
 
-func checkLockScope(pass *Pass, name string, body *ast.BlockStmt) {
-	w := &lockWalker{pass: pass, fname: name}
-	st := make(lockState)
-	terminated := w.walkStmts(body.List, st)
-	if terminated {
-		return
+func (s lockState) equal(other lockState) bool {
+	if len(s) != len(other) {
+		return false
 	}
-	for key, hl := range st {
-		if !hl.deferred {
-			pass.Reportf(hl.pos, "%s.Lock() in %s is not released on every path (no Unlock or defer Unlock before fallthrough return)", key, w.fname)
+	for k, hl := range s {
+		if o, ok := other[k]; !ok || o.deferred != hl.deferred {
+			return false
 		}
 	}
+	return true
 }
 
 type lockWalker struct {
-	pass  *Pass
+	flow[lockState]
 	fname string
 }
 
-// walkStmts runs the list linearly, mutating st, and reports whether the
-// path terminates (return, panic, or branch out of the linear flow).
-func (w *lockWalker) walkStmts(stmts []ast.Stmt, st lockState) bool {
-	for _, s := range stmts {
-		if w.walkStmt(s, st) {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *lockWalker) walkStmt(stmt ast.Stmt, st lockState) bool {
-	switch s := stmt.(type) {
+func (w *lockWalker) step(n ast.Node, st lockState) lockState {
+	switch n := n.(type) {
 	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
+		if call, ok := n.X.(*ast.CallExpr); ok {
 			if key, method, ok := syncMutexOp(w.pass, call); ok {
 				switch method {
 				case "Lock", "RLock":
@@ -127,191 +107,60 @@ func (w *lockWalker) walkStmt(stmt ast.Stmt, st lockState) bool {
 				case "Unlock", "RUnlock":
 					delete(st, key)
 				}
-				return false
+				return st
 			}
 		}
-		w.checkBlocking(s.X, st)
 	case *ast.SendStmt:
-		w.reportBlocking(s.Arrow, "channel send", st)
-		w.checkBlocking(s.Chan, st)
-		w.checkBlocking(s.Value, st)
-	case *ast.DeferStmt:
-		if key, method, ok := syncMutexOp(w.pass, s.Call); ok && (method == "Unlock" || method == "RUnlock") {
-			if hl, held := st[key]; held {
-				hl.deferred = true
+		w.reportBlocking(n.Arrow, "channel send", st)
+	case *ast.SelectStmt:
+		// The select is its communications: without default it blocks.
+		for _, c := range n.Body.List {
+			if c.(*ast.CommClause).Comm == nil {
+				return st
 			}
-			return false
 		}
-		// defer func() { ...; mu.Unlock(); ... }() — the closure body is
-		// analyzed as its own scope; here it only satisfies pairing.
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			ast.Inspect(lit.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
+		w.reportBlocking(n.Pos(), "select without default", st)
+	case *ast.DeferStmt:
+		// A deferred Unlock, direct or inside a deferred literal,
+		// satisfies pairing; the mutex still counts as held for rule 1.
+		ast.Inspect(n.Call, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
 				if key, method, ok := syncMutexOp(w.pass, call); ok && (method == "Unlock" || method == "RUnlock") {
 					if hl, held := st[key]; held {
 						hl.deferred = true
 					}
 				}
-				return true
-			})
-		}
-	case *ast.GoStmt:
-		// Launching is not blocking; the goroutine body is its own scope.
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.checkBlocking(e, st)
-		}
-		for _, e := range s.Lhs {
-			w.checkBlocking(e, st)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, e := range vs.Values {
-						w.checkBlocking(e, st)
-					}
-				}
 			}
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.checkBlocking(e, st)
-		}
-		for key, hl := range st {
-			if !hl.deferred {
-				w.pass.Reportf(s.Pos(), "return in %s with %s still held (Lock at line %d has no Unlock or defer Unlock on this path)",
-					w.fname, key, w.pass.Fset.Position(hl.pos).Line)
-			}
-		}
-		return true
-	case *ast.BranchStmt:
-		// break/continue/goto leave the linear flow; the loop walk treats
-		// the surrounding state conservatively.
-		return true
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		w.checkBlocking(s.Cond, st)
-		thenSt := st.clone()
-		thenTerm := w.walkStmts(s.Body.List, thenSt)
-		elseSt := st.clone()
-		elseTerm := false
-		if s.Else != nil {
-			elseTerm = w.walkStmt(s.Else, elseSt)
-		}
-		switch {
-		case thenTerm && elseTerm:
 			return true
-		case thenTerm:
-			replace(st, elseSt)
-		case elseTerm:
-			replace(st, thenSt)
+		})
+	}
+	w.checkBlocking(n, st)
+	return st
+}
+
+// exit reports every mutex a path leaves the function holding without a
+// deferred Unlock: at the return, or at the Lock when the path falls off
+// the end of the body.
+func (w *lockWalker) exit(ret *ast.ReturnStmt, st lockState) {
+	for key, hl := range st {
+		switch {
+		case hl.deferred:
+		case ret != nil:
+			w.reportf(ret.Pos(), "return in %s with %s still held (Lock at line %d has no Unlock or defer Unlock on this path)",
+				w.fname, key, w.pass.Fset.Position(hl.pos).Line)
 		default:
-			replace(st, thenSt)
-			st.merge(elseSt)
+			w.reportf(hl.pos, "%s.Lock() in %s is not released on every path (no Unlock or defer Unlock before fallthrough return)", key, w.fname)
 		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		if s.Cond != nil {
-			w.checkBlocking(s.Cond, st)
-		}
-		bodySt := st.clone()
-		w.walkStmts(s.Body.List, bodySt)
-		// One-pass loop model: reports inside the body use loop-entry
-		// state; after the loop the entry state stands (a body that locks
-		// must also unlock within the body, which the body walk's own
-		// fallthrough/return checks do not enforce across iterations —
-		// the merge below keeps any unbalanced body lock visible).
-		st.merge(bodySt)
-	case *ast.RangeStmt:
-		w.checkBlocking(s.X, st)
-		bodySt := st.clone()
-		w.walkStmts(s.Body.List, bodySt)
-		st.merge(bodySt)
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
-			w.reportBlocking(s.Pos(), "select without default", st)
-		}
-		w.walkClauses(s.Body.List, st)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		if s.Tag != nil {
-			w.checkBlocking(s.Tag, st)
-		}
-		w.walkClauses(s.Body.List, st)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, st)
-		}
-		w.walkClauses(s.Body.List, st)
-	case *ast.BlockStmt:
-		return w.walkStmts(s.List, st)
-	case *ast.LabeledStmt:
-		return w.walkStmt(s.Stmt, st)
-	case *ast.IncDecStmt:
-		w.checkBlocking(s.X, st)
-	}
-	return false
-}
-
-// walkClauses forks st per case clause and merges the survivors.
-func (w *lockWalker) walkClauses(clauses []ast.Stmt, st lockState) {
-	merged := st.clone()
-	for _, c := range clauses {
-		var body []ast.Stmt
-		switch cc := c.(type) {
-		case *ast.CaseClause:
-			body = cc.Body
-		case *ast.CommClause:
-			// The comm op itself is covered by the select-level blocking
-			// report; only the case body is walked.
-			body = cc.Body
-		default:
-			continue
-		}
-		caseSt := st.clone()
-		if !w.walkStmts(body, caseSt) {
-			merged.merge(caseSt)
-		}
-	}
-	replace(st, merged)
-}
-
-// replace overwrites dst's contents with src's.
-func replace(dst, src lockState) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, v := range src {
-		dst[k] = v
 	}
 }
 
-// checkBlocking scans one expression for blocking operations, skipping
-// nested function literals (independent scopes).
-func (w *lockWalker) checkBlocking(expr ast.Expr, st lockState) {
-	if expr == nil || len(st) == 0 {
+// checkBlocking scans one step for blocking operations.
+func (w *lockWalker) checkBlocking(n ast.Node, st lockState) {
+	if len(st) == 0 {
 		return
 	}
-	ast.Inspect(expr, func(n ast.Node) bool {
+	inspectScope(n, func(n ast.Node) {
 		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
 				w.reportBlocking(n.Pos(), "channel receive", st)
@@ -321,13 +170,12 @@ func (w *lockWalker) checkBlocking(expr ast.Expr, st lockState) {
 				w.reportBlocking(n.Pos(), desc, st)
 			}
 		}
-		return true
 	})
 }
 
 func (w *lockWalker) reportBlocking(pos token.Pos, desc string, st lockState) {
 	for key, hl := range st {
-		w.pass.Reportf(pos, "%s in %s while %s is held (Lock at line %d): blocking under a mutex stalls every waiter",
+		w.reportf(pos, "%s in %s while %s is held (Lock at line %d): blocking under a mutex stalls every waiter",
 			desc, w.fname, key, w.pass.Fset.Position(hl.pos).Line)
 	}
 }

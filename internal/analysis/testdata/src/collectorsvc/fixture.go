@@ -152,3 +152,89 @@ func continueSkipsReArm(c net.Conn, buf []byte, skip func() bool) {
 		c.SetReadDeadline(time.Now().Add(time.Second))
 	}
 }
+
+// switchNoDefaultArms: with no default, the path where no clause runs
+// reaches the read unarmed.
+func switchNoDefaultArms(c net.Conn, buf []byte, k int) {
+	switch k {
+	case 0:
+		c.SetReadDeadline(time.Now().Add(time.Second))
+	}
+	c.Read(buf) // want "conn read not dominated by SetReadDeadline"
+}
+
+// switchEveryClauseArms is its twin: a default, and every clause arms.
+func switchEveryClauseArms(c net.Conn, buf []byte, k int) {
+	switch k {
+	case 0:
+		c.SetReadDeadline(time.Now().Add(time.Millisecond))
+	default:
+		c.SetReadDeadline(time.Now().Add(time.Second))
+	}
+	c.Read(buf)
+}
+
+// breakBeforeArm: the break leaves the switch before the clause arms.
+func breakBeforeArm(c net.Conn, buf []byte, k int, skip bool) {
+	switch k {
+	case 0:
+		if skip {
+			break
+		}
+		c.SetReadDeadline(time.Now().Add(time.Millisecond))
+	default:
+		c.SetReadDeadline(time.Now().Add(time.Second))
+	}
+	c.Read(buf) // want "conn read not dominated by SetReadDeadline"
+}
+
+// breakAfterArm is its twin: the clause arms before it can break.
+func breakAfterArm(c net.Conn, buf []byte, k int, skip bool) {
+	switch k {
+	case 0:
+		c.SetReadDeadline(time.Now().Add(time.Millisecond))
+		if skip {
+			break
+		}
+		bufferSize(buf)
+	default:
+		c.SetReadDeadline(time.Now().Add(time.Second))
+	}
+	c.Read(buf)
+}
+
+// continueOuterSkipsArm: the labeled continue reaches the next read
+// without the outer body's trailing arm.
+func continueOuterSkipsArm(c net.Conn, buf []byte, frames [][]byte) {
+	c.SetReadDeadline(time.Now().Add(time.Second))
+outer:
+	for {
+		if _, err := c.Read(buf); err != nil { // want "conn read not dominated by SetReadDeadline"
+			return
+		}
+		for _, f := range frames {
+			if len(f) == 0 {
+				continue outer
+			}
+		}
+		c.SetReadDeadline(time.Now().Add(time.Second))
+	}
+}
+
+// continueOuterArms is its twin: the labeled continue arms first.
+func continueOuterArms(c net.Conn, buf []byte, frames [][]byte) {
+	c.SetReadDeadline(time.Now().Add(time.Second))
+outer:
+	for {
+		if _, err := c.Read(buf); err != nil {
+			return
+		}
+		for _, f := range frames {
+			if len(f) == 0 {
+				c.SetReadDeadline(time.Now().Add(time.Second))
+				continue outer
+			}
+		}
+		c.SetReadDeadline(time.Now().Add(time.Second))
+	}
+}

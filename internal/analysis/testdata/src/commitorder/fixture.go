@@ -119,3 +119,73 @@ func switchOneArmMisses(k int) {
 	}
 	ack() // want "ack write is not dominated by a journal commit"
 }
+
+// commitBeforeLoop: one commit cannot license the ack of every
+// iteration — the first ack consumes it.
+func commitBeforeLoop() {
+	commit()
+	for i := 0; i < 3; i++ {
+		ack() // want "ack write is not dominated by a journal commit"
+	}
+}
+
+// commitEachBeforeAck is its twin: every iteration commits its own ack.
+func commitEachBeforeAck(batches []int) {
+	commit()
+	for range batches {
+		commit()
+		ack()
+	}
+}
+
+// switchNoDefaultCommits: with no default, the path where no clause
+// runs reaches the ack uncommitted.
+func switchNoDefaultCommits(k int) {
+	switch k {
+	case 0:
+		commit()
+	}
+	ack() // want "ack write is not dominated by a journal commit"
+}
+
+// typeSwitchEveryClauseCommits is its twin: a default, and every clause
+// commits.
+func typeSwitchEveryClauseCommits(v any) {
+	switch v.(type) {
+	case int:
+		commit()
+	default:
+		commit()
+	}
+	ack()
+}
+
+// breakBeforeCommit: the break leaves the switch before the clause's
+// commit.
+func breakBeforeCommit(k int, skip bool) {
+	switch k {
+	case 0:
+		if skip {
+			break
+		}
+		commit()
+	default:
+		commit()
+	}
+	ack() // want "ack write is not dominated by a journal commit"
+}
+
+// breakAfterCommit is its twin: the clause commits before it can break.
+func breakAfterCommit(k, n int, skip bool) {
+	switch k {
+	case 0:
+		commit()
+		if skip {
+			break
+		}
+		n++
+	default:
+		commit()
+	}
+	ack()
+}

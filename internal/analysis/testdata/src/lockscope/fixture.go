@@ -148,3 +148,97 @@ func lockedLoopBody(g *guarded, ch chan int) {
 		ch <- g.n
 	}
 }
+
+// breakWhileHeld leaves the loop by a break taken with the mutex held.
+func breakWhileHeld(g *guarded) {
+	for {
+		g.mu.Lock() // want "in breakWhileHeld is not released on every path"
+		if g.n > 3 {
+			break
+		}
+		g.n++
+		g.mu.Unlock()
+	}
+}
+
+// breakAfterUnlock is its twin: the break is taken after the Unlock.
+func breakAfterUnlock(g *guarded) {
+	for {
+		g.mu.Lock()
+		n := g.n
+		g.mu.Unlock()
+		if n > 3 {
+			break
+		}
+	}
+}
+
+// continueCarriesLock: the continue takes the held mutex into the next
+// iteration's sleep, and out of the loop when the condition fails.
+func continueCarriesLock(g *guarded, skip func() bool) {
+	for i := 0; i < 3; i++ {
+		time.Sleep(time.Millisecond) // want "time.Sleep in continueCarriesLock while g.mu is held"
+		g.mu.Lock()                  // want "in continueCarriesLock is not released on every path"
+		if skip() {
+			continue
+		}
+		g.mu.Unlock()
+	}
+}
+
+// continueAfterUnlock is its twin: the continue is taken after the
+// Unlock.
+func continueAfterUnlock(g *guarded, skip func() bool) {
+	for i := 0; i < 3; i++ {
+		time.Sleep(time.Millisecond)
+		g.mu.Lock()
+		g.n++
+		g.mu.Unlock()
+		if skip() {
+			continue
+		}
+	}
+}
+
+// goArgUnderLock: a go statement evaluates its arguments in the
+// launching goroutine, so the receive blocks under the mutex.
+func goArgUnderLock(g *guarded, ch chan int, sink func(int)) {
+	g.mu.Lock()
+	go sink(<-ch) // want "channel receive in goArgUnderLock while g.mu is held"
+	g.mu.Unlock()
+}
+
+// goBodyReceives is its twin: the receive is in the goroutine's body,
+// which runs without the launcher's mutex.
+func goBodyReceives(g *guarded, ch chan int, sink func(int)) {
+	g.mu.Lock()
+	go func() { sink(<-ch) }()
+	g.mu.Unlock()
+}
+
+// fallthroughCarriesLock: the first clause falls through into the
+// second one's sleep with the mutex held.
+func fallthroughCarriesLock(g *guarded, k int) {
+	switch k {
+	case 0:
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		fallthrough
+	case 1:
+		time.Sleep(time.Millisecond) // want "time.Sleep in fallthroughCarriesLock while g.mu is held"
+	}
+}
+
+// fallthroughAfterUnlock is its twin: the clause unlocks before it
+// falls through.
+func fallthroughAfterUnlock(g *guarded, k int) {
+	switch k {
+	case 0:
+		g.mu.Lock()
+		g.n++
+		g.mu.Unlock()
+		fallthrough
+	case 1:
+		time.Sleep(time.Millisecond)
+	}
+}
